@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import congruence, counting, partitions
@@ -397,10 +398,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _full_decimal():
+    """Lift the interpreter's int -> str digit limit while a command runs,
+    so that counts print in full however long they are; the caller's limit
+    is restored afterwards.  Interpreters without the limit need nothing."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _full_decimal():
+            return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

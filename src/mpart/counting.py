@@ -5,7 +5,8 @@ independent ways:
 
   * ``count_b_nested``     -- literal chained summation over the digit bounds;
   * ``count_b_poly``       -- the same sum collapsed level by level into an
-                              integer-valued polynomial (fast for any n);
+                              integer-valued polynomial; its time grows
+                              about as j**4 in the digit count j;
   * ``count_b_recurrence`` -- the coefficient recurrence
                               b(n) = b(n-1) + [m | n] * b(n/m);
   * ``count_b_gf``         -- coefficients of prod_k 1/(1 - q**(m**k)).
@@ -125,21 +126,6 @@ def _strata_tops(m: int, n: int, j: int) -> list[int]:
     return [n // m**r - 1 for r in range(1, j + 1)]
 
 
-def _prefix_shift_valid(m: int, alpha, chi) -> bool:
-    """Whether every inner sum's upper bound stays >= its lower bound - 1
-    over the ranges actually iterated, so prefix-sum differences telescope.
-
-    With hi = alpha_t - 1 + m*k and k >= chi_{t+1} this always holds
-    (alpha_t = 0 forces chi_{t+1} = 1, so hi >= m - 1), but the polynomial
-    route checks rather than trusts the argument.
-    """
-    j = len(alpha) - 1
-    for t in range(1, j):
-        if alpha[t] - 1 + m * chi[t] < chi[t - 1] - 1:
-            return False
-    return True
-
-
 def count_c_poly(m: int, n: int) -> int:
     """Gap-free count: 1 plus, per stratum r (largest part m**r), the
     chained sums with lower bounds chi collapsed polynomially.
@@ -157,15 +143,9 @@ def count_c_poly(m: int, n: int) -> int:
     if j == 0:
         return 1
     chi = chi_vector(to_base(m, n))
-    if not _prefix_shift_valid(m, alpha, chi):
-        # unreachable per the argument above; literal summation as backstop
-        tops = _strata_tops(m, n, j)
-        count = kernels.nested_sum_c(m, alpha, chi, tops, loop_budget(None))
-        if count < 0:
-            raise LoopBudgetExceeded(
-                f"literal fallback for base {m}, n={n} exceeded the loop budget"
-            )
-        return 1 + count
+    # The prefix-sum differences telescope because every inner upper bound
+    # hi = alpha_t - 1 + m*k, k >= chi_{t+1}, stays >= chi_t - 1: alpha_t = 0
+    # forces chi_{t+1} = 1, so hi >= m - 1.
     total = 1
     h = IntPolynomial.constant(1)
     for r in range(1, j + 1):

@@ -1,51 +1,134 @@
-"""Selects the compiled walker kernels, falling back to pure Python.
+"""Walkers for the hot counting loops.
 
-The compiled extension (mpart._walkers, built from Cython) and the
-pure-Python module (mpart._walkers_py) implement identical functions; the
-extension is used when it imported successfully, unless MPART_PURE_PYTHON
-is set to a nonempty value other than 0.
+Every function returns a nonnegative count, or -1 as soon as the running
+step counter would exceed ``cap``.  Integers are Python's own, so no input
+size overflows.
 
-The compiled walkers work in 64-bit integers.  Calls whose intermediate
-values could overflow (huge n or caps) are routed to the pure-Python
-implementation, whose integers are unbounded.
+The nested-sum walkers iterate the chained loops literally at every level
+above the innermost; the innermost sum of ones is taken as its length.
+The partition walkers recurse over part multiplicities and count one step
+per completed partition.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _walkers_py
-
-try:
-    from . import _walkers as _compiled
-except ImportError:
-    _compiled = None
-
-_forced_py = os.environ.get("MPART_PURE_PYTHON", "0") not in ("", "0")
-_default = _walkers_py if (_forced_py or _compiled is None) else _compiled
-
-IMPLEMENTATION = "python" if _default is _walkers_py else "compiled"
-
-# Loop bounds reach at most m*cap + m and tops/n; stay well below 2**63.
-_INT64_SAFE = 2**59
-
 
 def nested_sum_b(m: int, alpha, cap: int) -> int:
-    impl = _default if m * cap < _INT64_SAFE and len(alpha) <= 60 else _walkers_py
-    return impl.nested_sum_b(m, list(alpha), cap)
+    """Leaf count of the chained loops k_j..k_1 with upper bounds
+    alpha[j] and alpha[t] + m*k_{t+1}; alpha is the full digit vector,
+    least significant first."""
+    j = len(alpha) - 1
+    if j == 0:
+        return 1
+    steps = [0]
+
+    def walk(t: int, bound: int) -> int:
+        if t == 1:
+            count = bound + 1
+            steps[0] += count
+            if steps[0] > cap:
+                return -1
+            return count
+        total = 0
+        for k in range(bound + 1):
+            sub = walk(t - 1, alpha[t - 1] + m * k)
+            if sub < 0:
+                return -1
+            total += sub
+        return total
+
+    return walk(j, alpha[j])
 
 
 def nested_sum_c(m: int, alpha, chi, tops, cap: int) -> int:
-    safe = m * cap < _INT64_SAFE and len(alpha) <= 60 and all(t < _INT64_SAFE for t in tops)
-    impl = _default if safe else _walkers_py
-    return impl.nested_sum_c(m, list(alpha), list(chi), list(tops), cap)
+    """Total leaf count over the strata r = 1..j of the chained loops
+    k_r..k_1, where k_r ranges over [chi[r-1], tops[r-1]] and k_t over
+    [chi[t-1], alpha[t] - 1 + m*k_{t+1}].  Empty ranges contribute 0."""
+    j = len(alpha) - 1
+    steps = [0]
+
+    def walk(t: int, bound: int) -> int:
+        lo = chi[t - 1]
+        if bound < lo:
+            return 0
+        if t == 1:
+            count = bound - lo + 1
+            steps[0] += count
+            if steps[0] > cap:
+                return -1
+            return count
+        total = 0
+        for k in range(lo, bound + 1):
+            sub = walk(t - 1, alpha[t - 1] - 1 + m * k)
+            if sub < 0:
+                return -1
+            total += sub
+        return total
+
+    total = 0
+    for r in range(1, j + 1):
+        sub = walk(r, tops[r - 1])
+        if sub < 0:
+            return -1
+        total += sub
+    return total
 
 
 def walk_partitions(m: int, n: int, cap: int) -> int:
-    impl = _default if n < _INT64_SAFE and cap < _INT64_SAFE else _walkers_py
-    return impl.walk_partitions(m, n, cap)
+    """Number of m-ary partitions of n by direct multiplicity recursion."""
+    j = 0
+    while m ** (j + 1) <= n:
+        j += 1
+    powers = [m**t for t in range(j + 1)]
+    steps = [0]
+
+    def walk(t: int, rem: int) -> int:
+        if t == 0:
+            steps[0] += 1
+            if steps[0] > cap:
+                return -1
+            return 1
+        total = 0
+        for lam in range(rem // powers[t], -1, -1):
+            sub = walk(t - 1, rem - lam * powers[t])
+            if sub < 0:
+                return -1
+            total += sub
+        return total
+
+    return walk(j, n)
 
 
 def walk_gapfree(m: int, n: int, cap: int) -> int:
-    impl = _default if n < _INT64_SAFE and cap < _INT64_SAFE else _walkers_py
-    return impl.walk_gapfree(m, n, cap)
+    """Number of gap-free m-ary partitions of n by the pruned
+    multiplicity recursion (lower exponents stay present once a top part
+    has been chosen)."""
+    j = 0
+    while m ** (j + 1) <= n:
+        j += 1
+    powers = [m**t for t in range(j + 1)]
+    need = [(powers[t] - 1) // (m - 1) for t in range(j + 1)]
+    steps = [0]
+
+    def walk(t: int, rem: int, started: bool) -> int:
+        if t == 0:
+            if started and rem == 0:
+                return 0
+            steps[0] += 1
+            if steps[0] > cap:
+                return -1
+            return 1
+        total = 0
+        for lam in range((rem - need[t]) // powers[t], 0, -1):
+            sub = walk(t - 1, rem - lam * powers[t], True)
+            if sub < 0:
+                return -1
+            total += sub
+        if not started:
+            sub = walk(t - 1, rem, False)
+            if sub < 0:
+                return -1
+            total += sub
+        return total
+
+    return walk(j, n, False)

@@ -1,9 +1,12 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from mpart import counting
 from mpart.cli import main
+from mpart.counting import count_b_poly
 
 GOLDEN = Path(__file__).parent / "golden" / "table_4_36.tsv"
 
@@ -173,3 +176,37 @@ def test_invalid_base_exits_2(capsys):
     code, _, err = run(capsys, "digits", "--base", "1", "--n", "5")
     assert code == 2
     assert "base" in err
+
+
+@pytest.fixture
+def low_int_str_limit():
+    """The interpreter's int -> str limit at its minimum, 640 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter has no int -> str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+def test_count_prints_past_the_int_str_limit(capsys, low_int_str_limit):
+    n = 2**100 + 12345
+    code, out, err = run(capsys, "count", "--kind", "b", "--base", "2", "--n", str(n))
+    assert (code, err) == (0, "")
+    digits = out.strip()
+    assert digits.isdigit() and len(digits) > low_int_str_limit
+    assert sys.get_int_max_str_digits() == low_int_str_limit  # caller's limit kept
+    sys.set_int_max_str_digits(0)
+    assert int(digits) == count_b_poly(2, n)
+
+
+def test_verify_failure_json_past_the_int_str_limit(capsys, monkeypatch, low_int_str_limit):
+    wrong = 10**700 + 1
+    monkeypatch.setattr(counting, "count_b_poly", lambda m, n: wrong)
+    code, out, _ = run(capsys, "verify", "--suite", "oracle-b",
+                       "--base-range", "2..2", "--n-range", "5..5")
+    assert code == 1
+    assert sys.get_int_max_str_digits() == low_int_str_limit
+    failure, summary = (json.loads(line) for line in out.splitlines())
+    assert failure["method"] == "poly" and len(failure["actual"]) == 701
+    assert summary["failures"] == 1

@@ -10,7 +10,6 @@ from mpart.counting import (
     count_c_nested,
     count_c_poly,
     recurrence_table,
-    _prefix_shift_valid,
 )
 from mpart.partitions import count_c_enum, enumerate_b, enumerate_c
 from mpart.radix import to_base
@@ -134,6 +133,18 @@ def test_nested_budget_raises():
         count_b_nested(2, 300, budget=100)
     with pytest.raises(LoopBudgetExceeded):
         count_c_nested(2, 100000)
+
+
+def _prefix_shift_valid(m: int, alpha, chi) -> bool:
+    """Whether every inner sum's upper bound in count_c_poly stays >= its
+    lower bound - 1 over the ranges actually iterated, so prefix-sum
+    differences telescope.  With hi = alpha_t - 1 + m*k and k >= chi_{t+1}
+    this always holds (alpha_t = 0 forces chi_{t+1} = 1, so hi >= m - 1)."""
+    j = len(alpha) - 1
+    for t in range(1, j):
+        if alpha[t] - 1 + m * chi[t] < chi[t - 1] - 1:
+            return False
+    return True
 
 
 def test_prefix_shift_validity_holds_everywhere():

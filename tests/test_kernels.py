@@ -1,72 +1,8 @@
-"""The compiled and pure-Python walkers must agree call for call."""
+"""The walkers count exactly and abort at exactly their cap."""
 
-import pytest
-
-from mpart import _walkers_py, kernels
+from mpart import kernels
 from mpart.counting import chi_vector, recurrence_table
 from mpart.radix import to_base
-
-try:
-    from mpart import _walkers as _compiled
-except ImportError:
-    _compiled = None
-
-needs_compiled = pytest.mark.skipif(_compiled is None, reason="extension not built")
-
-
-def _args_for(m, n):
-    r = to_base(m, n)
-    alpha = list(r.digits)
-    chi = list(chi_vector(r))
-    tops = [n // m**k - 1 for k in range(1, len(alpha))]
-    return alpha, chi, tops
-
-
-def test_implementation_reported():
-    assert kernels.IMPLEMENTATION in ("compiled", "python")
-
-
-@needs_compiled
-def test_nested_sum_b_agreement():
-    for m in (2, 3, 4, 5, 7):
-        for n in list(range(1, 120)) + [255, 256, 500]:
-            alpha, _, _ = _args_for(m, n)
-            assert _compiled.nested_sum_b(m, alpha, 10**7) == \
-                _walkers_py.nested_sum_b(m, alpha, 10**7)
-
-
-@needs_compiled
-def test_nested_sum_c_agreement():
-    for m in (2, 3, 4, 5, 7):
-        for n in list(range(1, 120)) + [255, 256, 500]:
-            alpha, chi, tops = _args_for(m, n)
-            assert _compiled.nested_sum_c(m, alpha, chi, tops, 10**7) == \
-                _walkers_py.nested_sum_c(m, alpha, chi, tops, 10**7)
-
-
-@needs_compiled
-def test_partition_walk_agreement():
-    for m in (2, 3, 4, 5):
-        for n in range(1, 140):
-            assert _compiled.walk_partitions(m, n, 10**7) == \
-                _walkers_py.walk_partitions(m, n, 10**7)
-            assert _compiled.walk_gapfree(m, n, 10**7) == \
-                _walkers_py.walk_gapfree(m, n, 10**7)
-
-
-@needs_compiled
-def test_cap_abort_agreement():
-    # both implementations return -1 at exactly the same caps
-    alpha, chi, tops = _args_for(2, 100)
-    for cap in (0, 1, 5, 13, 35, 36, 37, 10**6):
-        assert _compiled.nested_sum_b(2, alpha, cap) == \
-            _walkers_py.nested_sum_b(2, alpha, cap)
-        assert _compiled.nested_sum_c(2, alpha, chi, tops, cap) == \
-            _walkers_py.nested_sum_c(2, alpha, chi, tops, cap)
-        assert _compiled.walk_partitions(2, 100, cap) == \
-            _walkers_py.walk_partitions(2, 100, cap)
-        assert _compiled.walk_gapfree(2, 100, cap) == \
-            _walkers_py.walk_gapfree(2, 100, cap)
 
 
 def test_python_walker_leaf_counts_match_recurrence():
@@ -74,20 +10,32 @@ def test_python_walker_leaf_counts_match_recurrence():
         table = recurrence_table(m, 90)
         for n in range(1, 91):
             alpha = list(to_base(m, n).digits)
-            assert _walkers_py.nested_sum_b(m, alpha, 10**7) == table[n]
-            assert _walkers_py.walk_partitions(m, n, 10**7) == table[n]
+            assert kernels.nested_sum_b(m, alpha, 10**7) == table[n]
+            assert kernels.walk_partitions(m, n, 10**7) == table[n]
 
 
 def test_python_walker_cap_is_exact():
-    # a cap of exactly the leaf count passes; one below aborts
-    alpha = list(to_base(2, 100).digits)
-    exact = _walkers_py.nested_sum_b(2, alpha, 10**6)
-    assert _walkers_py.nested_sum_b(2, alpha, exact) == exact
-    assert _walkers_py.nested_sum_b(2, alpha, exact - 1) == -1
+    # a cap of exactly the walker's own count passes; one below aborts
+    m, n = 2, 100
+    r = to_base(m, n)
+    alpha, chi = list(r.digits), list(chi_vector(r))
+    tops = [n // m**k - 1 for k in range(1, len(alpha))]
+    walkers = {
+        "nested_sum_b": lambda cap: kernels.nested_sum_b(m, alpha, cap),
+        "nested_sum_c": lambda cap: kernels.nested_sum_c(m, alpha, chi, tops, cap),
+        "walk_partitions": lambda cap: kernels.walk_partitions(m, n, cap),
+        "walk_gapfree": lambda cap: kernels.walk_gapfree(m, n, cap),
+    }
+    counts = {name: walk(10**6) for name, walk in walkers.items()}
+    assert counts == {"nested_sum_b": 9828, "nested_sum_c": 4913,
+                      "walk_partitions": 9828, "walk_gapfree": 4914}
+    for name, walk in walkers.items():
+        assert walk(counts[name]) == counts[name], name
+        assert walk(counts[name] - 1) == -1, name
 
 
-def test_huge_inputs_route_to_python():
-    # values beyond 64-bit safety must still work through the wrappers
+def test_unbounded_ints_beyond_64_bits():
+    # one implementation on Python ints: no input size overflows
     n = 2**70 + 3
     alpha = list(to_base(2, n).digits)
     assert kernels.nested_sum_b(2, alpha, 10) == -1
