@@ -5,6 +5,7 @@ from .budgets import (
     BudgetExceeded,
     EnumerationBudgetExceeded,
     LoopBudgetExceeded,
+    TableBudgetExceeded,
 )
 from .congruence import (
     Residue,
@@ -46,6 +47,7 @@ __all__ = [
     "LoopBudgetExceeded",
     "MaryPartition",
     "Residue",
+    "TableBudgetExceeded",
     "afs_c_mod",
     "b_mod_product",
     "binom_int",

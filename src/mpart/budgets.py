@@ -1,10 +1,13 @@
-"""Resource budgets for enumeration and literal nested summation.
+"""Resource budgets for enumeration, the table routes and literal nested
+summation.
 
 Both budgets are soft limits protecting callers from accidentally huge
 computations; they can be overridden per call or through the environment
 variables ``MPART_ENUM_BUDGET`` (partitions materialized or walked per
 enumeration call) and ``MPART_LOOP_BUDGET`` (innermost steps per literal
-nested summation).
+nested summation).  ``MPART_ENUM_BUDGET`` also caps the ``upto`` of the
+table routes ``recurrence_table`` and ``count_b_gf``, which check it
+before allocating their upto + 1 entries.
 """
 
 import os
@@ -22,6 +25,10 @@ class BudgetExceeded(RuntimeError):
 
 class EnumerationBudgetExceeded(BudgetExceeded):
     """The enumeration would produce more partitions than the budget allows."""
+
+
+class TableBudgetExceeded(BudgetExceeded):
+    """A table route would hold more entries than the enumeration budget allows."""
 
 
 class LoopBudgetExceeded(BudgetExceeded):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .counting import chi_vector, recurrence_table
+from .counting import chi_vector, count_b_poly
 from .radix import BaseRepr
 
 
@@ -78,13 +78,18 @@ def churchhouse_check(k: int, n: int) -> tuple[bool, bool]:
         b(2, 4**(k+1) * n) == b(2, 4**k * n)      (mod 2**(3k+2))
         b(2, 2 * 4**k * n) == b(2, 4**k * n / 2)  (mod 2**(3k))
 
-    computed with exact big-integer counts from the recurrence table.
+    computed with four exact counts by the polynomial route, so the cost
+    grows with the digit count 2k + log2(n), not with 4**k * n.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    table = recurrence_table(2, 4 ** (k + 1) * n)
-    first = (table[4 ** (k + 1) * n] - table[4**k * n]) % 2 ** (3 * k + 2) == 0
-    second = (table[2 * 4**k * n] - table[4**k * n // 2]) % 2 ** (3 * k) == 0
+    base = 4**k * n
+
+    def b(x: int) -> int:
+        return count_b_poly(2, x)
+
+    first = (b(4 * base) - b(base)) % 2 ** (3 * k + 2) == 0
+    second = (b(2 * base) - b(base // 2)) % 2 ** (3 * k) == 0
     return first, second

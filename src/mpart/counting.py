@@ -6,7 +6,7 @@ independent ways:
   * ``count_b_nested``     -- literal chained summation over the digit bounds;
   * ``count_b_poly``       -- the same sum collapsed level by level into an
                               integer-valued polynomial; its time grows
-                              about as j**4 in the digit count j;
+                              about as j**3.6 in the digit count j;
   * ``count_b_recurrence`` -- the coefficient recurrence
                               b(n) = b(n-1) + [m | n] * b(n/m);
   * ``count_b_gf``         -- coefficients of prod_k 1/(1 - q**(m**k)).
@@ -20,15 +20,10 @@ Counts at n = 0 are defined as 1 (the empty partition) throughout.
 
 from __future__ import annotations
 
-from .budgets import LoopBudgetExceeded, loop_budget
+from .budgets import LoopBudgetExceeded, TableBudgetExceeded, enum_budget, loop_budget
 from .polysum import IntPolynomial
 from .radix import BaseRepr, to_base
 from . import kernels
-
-# Largest n for which the O(n) recurrence is used to pre-estimate the
-# innermost step count of a literal summation; the polynomial count is
-# used beyond.  Resource guard only: results never depend on it.
-_ESTIMATE_BY_RECURRENCE_MAX = 2 * 10**6
 
 
 def chi_vector(r: BaseRepr) -> tuple[int, ...]:
@@ -37,12 +32,22 @@ def chi_vector(r: BaseRepr) -> tuple[int, ...]:
     return tuple(0 if d > 0 else 1 for d in r.digits[:-1])
 
 
-def recurrence_table(m: int, upto: int) -> list[int]:
-    """b(m, 0..upto) from the recurrence b(n) = b(n-1) + [m | n]*b(n/m)."""
+def _check_table_size(m: int, upto: int) -> None:
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if upto < 0:
         raise ValueError(f"upto must be nonnegative, got {upto}")
+    cap = enum_budget()
+    if upto > cap:
+        raise TableBudgetExceeded(
+            f"a table of b({m}, 0..{upto}) needs {upto + 1} entries "
+            f"(budget {cap}); use count_b_poly"
+        )
+
+
+def recurrence_table(m: int, upto: int) -> list[int]:
+    """b(m, 0..upto) from the recurrence b(n) = b(n-1) + [m | n]*b(n/m)."""
+    _check_table_size(m, upto)
     b = [1] * (upto + 1)
     for i in range(1, upto + 1):
         b[i] = b[i - 1] + (b[i // m] if i % m == 0 else 0)
@@ -56,10 +61,7 @@ def count_b_recurrence(m: int, n: int) -> int:
 def count_b_gf(m: int, upto: int) -> list[int]:
     """Coefficients 0..upto of prod_k 1/(1 - q**(m**k)); each factor is a
     prefix-sum pass with stride m**k over the coefficient array."""
-    if m < 2:
-        raise ValueError(f"base must be >= 2, got {m}")
-    if upto < 0:
-        raise ValueError(f"upto must be nonnegative, got {upto}")
+    _check_table_size(m, upto)
     coeffs = [1] + [0] * upto
     stride = 1
     while stride <= upto:
@@ -87,9 +89,14 @@ def count_b_poly(m: int, n: int) -> int:
     return g.sum_range(0, alpha[j])
 
 
-def _b_leaf_estimate(m: int, n: int) -> int:
-    if n <= _ESTIMATE_BY_RECURRENCE_MAX:
-        return count_b_recurrence(m, n)
+def _b_leaf_estimate(m: int, n: int, cap: int) -> int:
+    """b(m, n) exactly, or the lower bound n//m + 1 when that alone exceeds
+    cap: the partitions into parts 1 and m already number n//m + 1.  Either
+    way the result exceeds cap exactly when b(m, n) does, and the exact
+    count is only taken for n below about m*cap, where it is cheap."""
+    floor = n // m + 1
+    if floor > cap:
+        return floor
     return count_b_poly(m, n)
 
 
@@ -97,8 +104,8 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
     """Literal evaluation of the chained sums over k_j..k_1.
 
     The innermost step count equals the answer itself, so the step budget
-    is checked up front (against the recurrence count, or the polynomial
-    count for very large n) and again inside the walker.
+    is checked up front (against the lower bound n//m + 1 or the
+    polynomial count, see ``_b_leaf_estimate``) and again inside the walker.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -108,11 +115,11 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
     alpha = to_base(m, n).digits
     if len(alpha) == 1:
         return 1
-    estimate = _b_leaf_estimate(m, n)
+    estimate = _b_leaf_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(
-            f"nested summation for base {m}, n={n} needs {estimate} innermost "
-            f"steps (budget {cap}); use count_b_poly"
+            f"nested summation for base {m}, n={n} needs at least {estimate} "
+            f"innermost steps (budget {cap}); use count_b_poly"
         )
     count = kernels.nested_sum_b(m, alpha, cap)
     if count < 0:
@@ -179,11 +186,11 @@ def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
     j = len(alpha) - 1
     if j == 0:
         return 1
-    estimate = _b_leaf_estimate(m, n)
+    estimate = _b_leaf_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(
-            f"nested summation for base {m}, n={n} could need up to {estimate} "
-            f"innermost steps (budget {cap}); use count_c_poly"
+            f"nested summation for base {m}, n={n} could need up to "
+            f"b({m}, n) >= {estimate} innermost steps (budget {cap}); use count_c_poly"
         )
     chi = chi_vector(to_base(m, n))
     tops = _strata_tops(m, n, j)

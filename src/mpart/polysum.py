@@ -7,14 +7,19 @@ lattice-point sums -- prefix sums, affine substitution of the argument, and
 bounded range sums -- all stay in exact integer arithmetic:
 
   * prefix sums are a coefficient shift, by C(0, i) + ... + C(N, i) = C(N+1, i+1);
-  * affine substitution is a forward-difference interpolation from d+1 values;
+  * affine substitution x -> a*k + b is a shift by b made of additions only,
+    by Pascal's rule C(x+1, i) = C(x, i) + C(x, i-1), followed by a scaling
+    x -> a*k through a table of small integers, one per stride a, holding
+    the coefficients of C(a*k, i) in the basis C(k, l);
   * a range sum is a difference of two prefix-sum evaluations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 
 def binom_int(x: int, k: int) -> int:
@@ -83,19 +88,27 @@ class IntPolynomial:
     def compose_affine(self, a: int, b: int) -> IntPolynomial:
         """The polynomial r with r(k) = p(a*k + b), exactly.
 
-        Computed by Newton forward differences from the d+1 values
-        p(b), p(a+b), ..., p(a*d+b); exact by uniqueness of degree-d
-        interpolation.
+        First the shift q(y) = p(y + b): one unit step p(x) -> p(x + 1)
+        maps c_l to c_l + c_{l+1} (Pascal's rule), and a step back undoes
+        it from the top coefficient down, so |b| steps cost |b|*d additions.
+        Then the scaling r(k) = q(a*k): C(a*k, i) = sum_l T[l][i] * C(k, l)
+        with T[l][i] = [x^i] ((1+x)^a - 1)^l, so r_l = sum_i q_i * T[l][i],
+        one dot product per coefficient against the cached columns of T.
         """
         if a < 1:
             raise ValueError("stride a must be positive")
-        d = self.degree
-        work = [self.eval(a * k + b) for k in range(d + 1)]
-        coeffs = []
-        for _ in range(d + 1):
-            coeffs.append(work[0])
-            work = [work[i + 1] - work[i] for i in range(len(work) - 1)]
-        return IntPolynomial.from_coeffs(coeffs)
+        c = list(self.coeffs)
+        d = len(c) - 1
+        for _ in range(b):
+            for l in range(d):
+                c[l] += c[l + 1]
+        for _ in range(-b):
+            for l in range(d - 1, -1, -1):
+                c[l] -= c[l + 1]
+        columns = _scaling_columns(a, d)
+        return IntPolynomial.from_coeffs(
+            [sum(map(mul, c[l:], columns[l])) for l in range(d + 1)]
+        )
 
     def sum_range(self, lo: int, hi: int) -> int:
         """sum_{x=lo}^{hi} p(x) with lo in {0, 1}; hi = lo - 1 is the empty sum."""
@@ -105,3 +118,33 @@ class IntPolynomial:
             raise ValueError(f"range [{lo}, {hi}] is below the structurally empty range")
         q = self.prefix_sum()
         return q.eval(hi) - q.eval(lo - 1)
+
+
+@functools.cache
+def _scaling_table(a: int) -> list[list[int]]:
+    """The columns of T for stride a, as far as they have been grown:
+    column l lists T[l][i] for i = l .. min(D, a*l), D the largest degree
+    requested so far (T[l][i] vanishes for i < l and for i > a*l).  Starts
+    at degree 0; ``_scaling_columns`` grows it in place."""
+    return [[1]]
+
+
+def _scaling_columns(a: int, d: int) -> list[list[int]]:
+    """The stride-a table, grown to degree d if it is not there yet.
+
+    Growing by one degree i appends T[l][i] to each column l < i that
+    reaches i, from column l - 1 by ((1+x)^a - 1)^l =
+    ((1+x)^a - 1)^(l-1) * sum_{s=1..a} C(a, s) x^s, and opens column i
+    with T[i][i] = a**i.
+    """
+    columns = _scaling_table(a)
+    weight = [math.comb(a, s) for s in range(a + 1)]
+    for i in range(len(columns), d + 1):
+        for l in range(-(-i // a), i):
+            prev = columns[l - 1]  # T[l-1][x] sits at prev[x - l + 1]
+            columns[l].append(
+                sum(weight[i - x] * prev[x - l + 1]
+                    for x in range(max(l - 1, i - a), min(i - 1, a * (l - 1)) + 1))
+            )
+        columns.append([a**i])
+    return columns

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,17 @@ def test_count_budget_exceeded(capsys, monkeypatch):
     assert "--method poly" in err
 
 
+@pytest.mark.parametrize("method", ["recurrence", "gf"])
+@pytest.mark.parametrize("n", [2**70, 10**12])
+def test_count_table_methods_refuse_huge_n(capsys, method, n):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--kind", "b", "--base", "2",
+                         "--n", str(n), "--method", method)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "fallback: --method poly" in err
+
+
 def test_table_matches_golden(capsys):
     code, out, _ = run(capsys, "table", "--base", "4", "--n", "36")
     assert code == 0
@@ -115,6 +127,12 @@ def test_congruence_pass_lines(capsys):
     assert (code, out) == (0, "predicted=1 actual=1 PASS\n")
     code, out, _ = run(capsys, "congruence", "--property", "churchhouse",
                        "--base", "2", "--n", "3", "--k", "2")
+    assert (code, out) == (0, "first=PASS second=PASS\n")
+
+
+def test_congruence_churchhouse_large_k(capsys):
+    code, out, _ = run(capsys, "congruence", "--property", "churchhouse",
+                       "--base", "2", "--n", "3", "--k", "40")
     assert (code, out) == (0, "first=PASS second=PASS\n")
 
 

@@ -1,6 +1,11 @@
-import pytest
+import hashlib
+import time
 
-from mpart.budgets import LoopBudgetExceeded
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpart.budgets import LoopBudgetExceeded, TableBudgetExceeded
 from mpart.counting import (
     chi_vector,
     count_b_gf,
@@ -57,6 +62,38 @@ def test_poly_handles_huge_n():
     assert value > 0
     # multiplying n by the base only appends a zero digit; counts must grow
     assert count_b_poly(10, 10 * n) > value
+
+
+@settings(deadline=None)
+@given(st.integers(2, 10), st.integers(0, 5000))
+def test_poly_matches_recurrence_property(m, n):
+    assert count_b_poly(m, n) == recurrence_table(m, n)[n]
+
+
+# (digit count, SHA-256 of the decimal) of b and c, computed with an
+# independent substitution: interpolation from d+1 point values
+PINNED = {
+    (2, 2**120 + 12345): (
+        (1960, "8f22148962877b6d3347d71abf93aadade11088bd84b8e71bbbbcb77d9079441"),
+        (1959, "2fdc4f202780978e7b075657b0b269d1f01d8df54d356cac0de4a0d8559ada56"),
+    ),
+    (10, 10**60 + 7): (
+        (1691, "9ac5f560e2d5cf93a5505e4f2c96a6c07ae61700596c2972b71d0167de0ec0e4"),
+        (1691, "2d732c7d4db774fa56e8d35cdfcfb87884e7d28092749c38cb114913129831ce"),
+    ),
+}
+
+
+def _fingerprint(value: int) -> tuple[int, str]:
+    text = str(value)
+    return len(text), hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m, n", PINNED)
+def test_poly_counts_pinned_at_large_n(m, n):
+    b_pin, c_pin = PINNED[(m, n)]
+    assert _fingerprint(count_b_poly(m, n)) == b_pin
+    assert _fingerprint(count_c_poly(m, n)) == c_pin
 
 
 def test_four_way_agreement_medium_grid():
@@ -133,6 +170,39 @@ def test_nested_budget_raises():
         count_b_nested(2, 300, budget=100)
     with pytest.raises(LoopBudgetExceeded):
         count_c_nested(2, 100000)
+
+
+def test_nested_refuses_huge_n_at_once():
+    # the lower bound n//m + 1 alone exceeds any budget here; an exact
+    # pre-count would need a 1001-digit polynomial count
+    for count in (count_b_nested, count_c_nested):
+        start = time.perf_counter()
+        with pytest.raises(LoopBudgetExceeded):
+            count(2, 2**1000)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_nested_refusal_is_exact():
+    # refused exactly when b(m, n) exceeds the budget, by either pre-check
+    for m, n in ((2, 300), (3, 1000), (5, 2425)):
+        b = count_b_poly(m, n)
+        assert count_b_nested(m, n, budget=b) == b
+        assert count_c_nested(m, n, budget=b) == count_c_poly(m, n)
+        for budget in (b - 1, n // m):
+            with pytest.raises(LoopBudgetExceeded):
+                count_b_nested(m, n, budget=budget)
+            with pytest.raises(LoopBudgetExceeded):
+                count_c_nested(m, n, budget=budget)
+
+
+def test_table_routes_refuse_past_the_enumeration_budget(monkeypatch):
+    monkeypatch.setenv("MPART_ENUM_BUDGET", "100")
+    assert recurrence_table(3, 100) == count_b_gf(3, 100)
+    for upto in (101, 2**70, 10**12):
+        with pytest.raises(TableBudgetExceeded):
+            recurrence_table(3, upto)
+        with pytest.raises(TableBudgetExceeded):
+            count_b_gf(3, upto)
 
 
 def _prefix_shift_valid(m: int, alpha, chi) -> bool:

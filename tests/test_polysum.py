@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mpart import polysum
 from mpart.polysum import IntPolynomial, binom_int
 
 
@@ -119,3 +120,46 @@ def test_operations_stay_integral():
         assert all(isinstance(c, int) for c in p.coeffs)
         # 8 matching points pin down a polynomial of degree <= 7
         assert [p.eval(k) for k in range(8)] == values[:8]
+
+
+def _random_poly(rng, degree, bits=400):
+    coeffs = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(degree)]
+    return IntPolynomial.from_coeffs(coeffs + [rng.getrandbits(bits) | 1])
+
+
+def test_compose_affine_every_stride_and_shift():
+    # degree-d polynomials that agree at d+1 points are equal
+    rng = random.Random(1706)
+    for a in range(2, 11):
+        for b in range(-1, a):
+            for degree in (0, 1, 2, 5, 13, 40):
+                p = _random_poly(rng, degree, bits=rng.randrange(200, 700))
+                r = p.compose_affine(a, b)
+                assert r.degree == degree
+                assert [r.eval(k) for k in range(degree + 1)] == [
+                    p.eval(a * k + b) for k in range(degree + 1)
+                ]
+
+
+def test_compose_affine_independent_of_table_history():
+    rng = random.Random(11)
+    polys = [_random_poly(rng, degree, bits=300) for degree in (40, 25, 9, 1, 0)]
+    cases = [(p, a, b) for p in polys for a in (2, 3, 7, 10) for b in (-1, 0, a - 1)]
+    polysum._scaling_table.cache_clear()
+    falling = [p.compose_affine(a, b) for p, a, b in cases]  # tables grow at once
+    polysum._scaling_table.cache_clear()
+    rising = [p.compose_affine(a, b) for p, a, b in reversed(cases)][::-1]
+    assert falling == rising
+    polysum._scaling_table.cache_clear()
+    assert [p.compose_affine(a, b) for p, a, b in cases] == falling
+
+
+def test_scaling_table_grows_only_to_the_degree_in_use():
+    polysum._scaling_table.cache_clear()
+    IntPolynomial((0,) * 12 + (1,)).compose_affine(3, 1)
+    columns = polysum._scaling_table(3)
+    assert len(columns) == 13
+    # column l holds [x^i] ((1+x)^3 - 1)^l for i = l .. min(12, 3*l)
+    assert columns[1] == [3, 3, 1]
+    assert columns[2] == [9, 18, 15, 6, 1]
+    assert all(len(col) == min(12, 3 * l) - l + 1 for l, col in enumerate(columns))
