@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import EnumerationBudgetExceeded, enum_budget
+from .counting import b_estimate
 from .partitions import MaryPartition, weight
 from .radix import to_base
 
@@ -104,13 +105,19 @@ def is_member(b: BetaSeq) -> bool:
 
 def enumerate_members(m: int, n: int, budget: int | None = None) -> list[BetaSeq]:
     """Every sequence satisfying the chained bounds, in ascending
-    lexicographic order on (beta_j, ..., beta_1), by bounded nested loops."""
+    lexicographic order on (beta_j, ..., beta_1), by bounded nested loops.
+
+    The sequences are in bijection with the partitions of n, so the
+    budget is checked against b(m, n) before the loops start, and again
+    inside them."""
     r = to_base(m, n)
     alpha = r.digits
     j = r.j
     cap = enum_budget(budget)
     if j == 0:
         return [BetaSeq(m, n, ())]
+    if b_estimate(m, n, cap) > cap:
+        raise EnumerationBudgetExceeded(f"more than {cap} sequences for n={n} in base {m}")
     out: list[BetaSeq] = []
     buf = [0] * j
 

@@ -89,11 +89,12 @@ def count_b_poly(m: int, n: int) -> int:
     return g.sum_range(0, alpha[j])
 
 
-def _b_leaf_estimate(m: int, n: int, cap: int) -> int:
+def b_estimate(m: int, n: int, cap: int) -> int:
     """b(m, n) exactly, or the lower bound n//m + 1 when that alone exceeds
     cap: the partitions into parts 1 and m already number n//m + 1.  Either
     way the result exceeds cap exactly when b(m, n) does, and the exact
-    count is only taken for n below about m*cap, where it is cheap."""
+    count is only taken for n below about m*cap, where it is cheap.  Budget
+    checks call this before walking anything b(m, n) counts."""
     floor = n // m + 1
     if floor > cap:
         return floor
@@ -105,7 +106,7 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
 
     The innermost step count equals the answer itself, so the step budget
     is checked up front (against the lower bound n//m + 1 or the
-    polynomial count, see ``_b_leaf_estimate``) and again inside the walker.
+    polynomial count, see ``b_estimate``) and again inside the walker.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -115,7 +116,7 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
     alpha = to_base(m, n).digits
     if len(alpha) == 1:
         return 1
-    estimate = _b_leaf_estimate(m, n, cap)
+    estimate = b_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(
             f"nested summation for base {m}, n={n} needs at least {estimate} "
@@ -186,7 +187,7 @@ def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
     j = len(alpha) - 1
     if j == 0:
         return 1
-    estimate = _b_leaf_estimate(m, n, cap)
+    estimate = b_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(
             f"nested summation for base {m}, n={n} could need up to "

@@ -4,10 +4,12 @@ Every function returns a nonnegative count, or -1 as soon as the running
 step counter would exceed ``cap``.  Integers are Python's own, so no input
 size overflows.
 
-The nested-sum walkers iterate the chained loops literally at every level
-above the innermost; the innermost sum of ones is taken as its length.
-The partition walkers recurse over part multiplicities and count one step
-per completed partition.
+All four walkers iterate their loops literally at every level above the
+innermost and take the innermost loop's count as its range length.  For
+the nested-sum walkers that loop is the innermost sum of ones; for the
+partition walkers, which recurse over part multiplicities, it is the
+choice of lambda_1, with lambda_0 taking the rest.  Steps are counted one
+per leaf (per completed partition), so the step total equals the count.
 """
 
 from __future__ import annotations
@@ -83,11 +85,13 @@ def walk_partitions(m: int, n: int, cap: int) -> int:
     steps = [0]
 
     def walk(t: int, rem: int) -> int:
-        if t == 0:
-            steps[0] += 1
+        if t <= 1:
+            # lambda_1 runs over 0..rem//m; t = 0 only for n < m
+            count = rem // m + 1 if t else 1
+            steps[0] += count
             if steps[0] > cap:
                 return -1
-            return 1
+            return count
         total = 0
         for lam in range(rem // powers[t], -1, -1):
             sub = walk(t - 1, rem - lam * powers[t])
@@ -111,13 +115,18 @@ def walk_gapfree(m: int, n: int, cap: int) -> int:
     steps = [0]
 
     def walk(t: int, rem: int, started: bool) -> int:
-        if t == 0:
-            if started and rem == 0:
-                return 0
-            steps[0] += 1
+        if t <= 1:
+            # Every lambda_1 <= (rem - need[1]) // m leaves rem - m*lambda_1
+            # >= need[1] = 1 ones, so no choice leaves a gap at exponent 0;
+            # the all-ones partition is the one extra leaf before a top part
+            # is chosen.  t = 0 only for n < m, where nothing has started.
+            count = max(0, (rem - need[1]) // m) if t else 0
+            if not started:
+                count += 1
+            steps[0] += count
             if steps[0] > cap:
                 return -1
-            return 1
+            return count
         total = 0
         for lam in range((rem - need[t]) // powers[t], 0, -1):
             sub = walk(t - 1, rem - lam * powers[t], True)

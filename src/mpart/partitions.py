@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import EnumerationBudgetExceeded, enum_budget
+from .counting import b_estimate
 from . import kernels
 
 
@@ -81,14 +82,18 @@ def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     multiplicity tuple read largest exponent first (padded to the top
     exponent of n).
 
-    Raises EnumerationBudgetExceeded once more than the budget would be
-    materialized; formula-based counting should be used instead.
+    Raises EnumerationBudgetExceeded before the walk when b(m, n) exceeds
+    the budget (see ``counting.b_estimate``), and inside the walk once more
+    than the budget would be materialized; formula-based counting should be
+    used instead.
     """
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget(budget)
+    if b_estimate(m, n, cap) > cap:
+        raise EnumerationBudgetExceeded(f"more than {cap} partitions of {n} in base {m}")
     j = _top_exponent(m, n)
     powers = [m**t for t in range(j + 1)]
     mults = [0] * (j + 1)
@@ -159,7 +164,9 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
 
 def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
     """|enumerate_b(m, n)| computed by the same multiplicity walk without
-    materializing the partitions; 1 at n = 0 for the empty partition."""
+    materializing the partitions; the innermost choice, lambda_1, is
+    counted by its range length instead of walked.  1 at n = 0 for the
+    empty partition."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:
@@ -175,7 +182,8 @@ def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
 
 def count_c_enum(m: int, n: int, budget: int | None = None) -> int:
     """|enumerate_c(m, n)| by the pruned gap-free walk, without
-    materializing; 1 at n = 0 for the empty partition."""
+    materializing; the innermost choice, lambda_1, is counted by its
+    range length instead of walked.  1 at n = 0 for the empty partition."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:

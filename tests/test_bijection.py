@@ -1,6 +1,10 @@
+import time
+
 import pytest
 
 from mpart.bijection import BetaSeq, enumerate_members, is_member, phi, phi_inv
+from mpart.budgets import EnumerationBudgetExceeded
+from mpart.counting import recurrence_table
 from mpart.partitions import MaryPartition, enumerate_b
 from mpart.radix import to_base
 
@@ -115,3 +119,18 @@ def test_members_all_satisfy_bounds():
     for m, n in [(3, 80), (4, 36), (5, 123)]:
         for b in enumerate_members(m, n):
             assert is_member(b)
+
+
+def test_enumerate_members_checks_its_budget_before_the_walk():
+    # the members are in bijection with the partitions, so b(m, n) is the
+    # exact number the budget is checked against
+    for m, n in ((2, 100), (3, 200), (5, 60)):
+        b = recurrence_table(m, n)[n]
+        assert len(enumerate_members(m, n, budget=b)) == b
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_members(m, n, budget=b - 1)
+    for n in (2**70, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_members(2, n)
+        assert time.perf_counter() - start < 1.0

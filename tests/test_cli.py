@@ -8,6 +8,7 @@ import pytest
 from mpart import counting
 from mpart.cli import main
 from mpart.counting import count_b_poly
+from mpart.radix import to_base
 
 GOLDEN = Path(__file__).parent / "golden" / "table_4_36.tsv"
 
@@ -69,6 +70,35 @@ def test_count_table_methods_refuse_huge_n(capsys, method, n):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert "fallback: --method poly" in err
+
+
+def _huge_n_commands(n):
+    # phi and phi-inv take a base in which n is a power, so that one part
+    # of size n is an m-ary partition; the all-zero beta is always a member
+    m = 2 if n == 2**70 else 10
+    j = to_base(m, n).j
+    grid = ["--base-range", "2..2", "--n-range", f"{n}..{n}"]
+    return {
+        "table": ["table", "--base", "2", "--n", str(n)],
+        "phi": ["phi", "--base", str(m), "--n", str(n), "--partition", "1" + ",0" * j],
+        "phi-inv": ["phi-inv", "--base", str(m), "--n", str(n), "--beta", ",".join(["0"] * j)],
+        "verify-bijection": ["verify", "--suite", "bijection", *grid],
+        "verify-oracle-c": ["verify", "--suite", "oracle-c", *grid],
+        **{f"count-check-{kind}": ["count", "--kind", kind, "--base", "2", "--n", str(n),
+                                   "--check"] for kind in "bc"},
+        **{f"count-enumerate-{kind}": ["count", "--kind", kind, "--base", "2", "--n", str(n),
+                                       "--method", "enumerate"] for kind in "bc"},
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_huge_n_commands(10**12)))
+@pytest.mark.parametrize("n", [2**70, 10**12])
+def test_every_subcommand_answers_or_refuses_huge_n_at_once(capsys, command, n):
+    argv = _huge_n_commands(n)[command]
+    start = time.perf_counter()
+    code, _, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 2)
 
 
 def test_table_matches_golden(capsys):

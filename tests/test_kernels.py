@@ -1,6 +1,9 @@
 """The walkers count exactly and abort at exactly their cap."""
 
-from mpart import kernels
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpart import kernels, partitions
 from mpart.counting import chi_vector, recurrence_table
 from mpart.radix import to_base
 
@@ -40,3 +43,33 @@ def test_unbounded_ints_beyond_64_bits():
     alpha = list(to_base(2, n).digits)
     assert kernels.nested_sum_b(2, alpha, 10) == -1
     assert kernels.walk_partitions(2, n, 10) == -1
+
+
+def test_gapfree_walker_unbounded_ints_beyond_64_bits():
+    assert kernels.walk_gapfree(2, 2**70 + 3, 10) == -1
+
+
+def test_partition_walkers_on_full_grid_with_exact_cap():
+    # n < m takes the j = 0 path; every other n counts lambda_1 by its range
+    for m in range(2, 8):
+        table = recurrence_table(m, 149)
+        for n in range(1, 150):
+            expected = {
+                "walk_partitions": table[n],
+                "walk_gapfree": len(partitions.enumerate_c(m, n)),
+            }
+            for name, count in expected.items():
+                walk = getattr(kernels, name)
+                assert walk(m, n, 10**9) == count, (name, m, n)
+                assert walk(m, n, count) == count, (name, m, n)
+                assert walk(m, n, count - 1) == -1, (name, m, n)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(2, 10), st.integers(0, 3000))
+def test_walk_partitions_matches_recurrence_property(m, n):
+    # b(m, n) can exceed the cap here (b(2, 3000) is about 6e12); the walker
+    # then returns -1, after about 4 s for m = 2, hence the example count
+    cap = 10**9
+    b = recurrence_table(m, n)[n]
+    assert kernels.walk_partitions(m, n, cap) == (b if b <= cap else -1)

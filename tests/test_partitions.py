@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from mpart.budgets import EnumerationBudgetExceeded
@@ -123,3 +125,17 @@ def test_zero_and_negative_n():
         enumerate_b(5, 0)
     with pytest.raises(ValueError):
         count_b_enum(5, -1)
+
+
+def test_enumerate_b_checks_its_budget_before_the_walk():
+    # refused exactly when b(m, n) exceeds the budget, and at once for huge n
+    for m, n in ((2, 100), (3, 200), (5, 60)):
+        b = recurrence_table(m, n)[n]
+        assert len(enumerate_b(m, n, budget=b)) == b
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_b(m, n, budget=b - 1)
+    for n in (2**70, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_b(2, n)
+        assert time.perf_counter() - start < 1.0
