@@ -21,19 +21,50 @@ from .budgets import BudgetExceeded
 from .partitions import MaryPartition
 from .radix import to_base
 
-B_METHODS = ("nested", "poly", "recurrence", "gf", "enumerate")
-C_METHODS = ("nested", "poly", "enumerate")
+# Routes, residue checks and suite runners look library functions up in their
+# module at call time, so a rebound module attribute (tracer, monkeypatch) counts.
 
-SUITES = (
-    "oracle-b",
-    "oracle-c",
-    "bijection",
-    "afs-b",
-    "afs-c",
-    "afs-equiv",
-    "churchhouse",
-    "reduction",
-)
+# method -> count at (m, n), per kind, in the order usage lists them
+B_ROUTES = {
+    "nested": lambda m, n: counting.count_b_nested(m, n),
+    "poly": lambda m, n: counting.count_b_poly(m, n),
+    "recurrence": lambda m, n: counting.count_b_recurrence(m, n),
+    "gf": lambda m, n: counting.count_b_gf(m, n)[n],
+    "enumerate": lambda m, n: partitions.count_b_enum(m, n),
+}
+C_ROUTES = {
+    "nested": lambda m, n: counting.count_c_nested(m, n),
+    "poly": lambda m, n: counting.count_c_poly(m, n),
+    "enumerate": lambda m, n: partitions.count_c_enum(m, n),
+}
+
+
+# These two take the actual side first, as they always have, so that an
+# invalid (m, n) fails with the same message.
+def _afs_equiv(m: int, n: int) -> tuple[int, int]:
+    r = to_base(m, n)
+    actual = congruence.afs_c_mod(r).value
+    return congruence.c_mod_formula(r).value, actual
+
+
+def _reduction(m: int, n: int) -> tuple[int, int]:
+    actual = counting.count_c_poly(m, m**3 * n) % m
+    return counting.count_c_poly(m, m * n) % m, actual
+
+
+# property -> (expected, actual) residues mod m at (m, n): afs-b, afs-c and
+# afs-c-ell predict b or c at m*n; afs-equiv sets the two c forms against each
+# other; reduction sets c(m^3 n) against c(m n)
+RESIDUES = {
+    "afs-b": lambda m, n: (congruence.b_mod_product(to_base(m, n)).value,
+                           counting.count_b_poly(m, m * n) % m),
+    "afs-c": lambda m, n: (congruence.c_mod_formula(to_base(m, n)).value,
+                           counting.count_c_poly(m, m * n) % m),
+    "afs-c-ell": lambda m, n: (congruence.afs_c_mod(to_base(m, n)).value,
+                               counting.count_c_poly(m, m * n) % m),
+    "afs-equiv": _afs_equiv,
+    "reduction": _reduction,
+}
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -61,35 +92,13 @@ def _fmt(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _count_via(kind: str, method: str, m: int, n: int) -> int:
-    if kind == "b":
-        if method == "nested":
-            return counting.count_b_nested(m, n)
-        if method == "poly":
-            return counting.count_b_poly(m, n)
-        if method == "recurrence":
-            return counting.count_b_recurrence(m, n)
-        if method == "gf":
-            return counting.count_b_gf(m, n)[n]
-        if method == "enumerate":
-            return partitions.count_b_enum(m, n)
-    else:
-        if method == "nested":
-            return counting.count_c_nested(m, n)
-        if method == "poly":
-            return counting.count_c_poly(m, n)
-        if method == "enumerate":
-            return partitions.count_c_enum(m, n)
-    raise ValueError(f"method {method!r} does not apply to kind {kind!r}")
-
-
 def cmd_count(args) -> int:
-    methods = B_METHODS if args.kind == "b" else C_METHODS
+    routes = B_ROUTES if args.kind == "b" else C_ROUTES
     if args.check:
         values: dict[str, int] = {}
-        for method in methods:
+        for method, route in routes.items():
             try:
-                values[method] = _count_via(args.kind, method, args.base, args.n)
+                values[method] = route(args.base, args.n)
             except BudgetExceeded:
                 continue
         if not values:
@@ -101,14 +110,12 @@ def cmd_count(args) -> int:
             return 1
         print(next(iter(values.values())))
         return 0
-    if args.method not in methods:
-        print(
-            f"error: method {args.method!r} does not apply to kind {args.kind!r}",
-            file=sys.stderr,
-        )
+    if args.method not in routes:
+        print(f"error: method {args.method!r} does not apply to kind {args.kind!r}",
+              file=sys.stderr)
         return 2
     try:
-        print(_count_via(args.kind, args.method, args.base, args.n))
+        print(routes[args.method](args.base, args.n))
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("fallback: --method poly", file=sys.stderr)
@@ -160,16 +167,7 @@ def cmd_congruence(args) -> int:
             f"second={'PASS' if second else 'FAIL'}"
         )
         return 0 if first and second else 1
-    r = to_base(m, n)
-    if args.property == "afs-b":
-        predicted = congruence.b_mod_product(r).value
-        actual = counting.count_b_poly(m, m * n) % m
-    elif args.property == "afs-c":
-        predicted = congruence.c_mod_formula(r).value
-        actual = counting.count_c_poly(m, m * n) % m
-    else:  # afs-c-ell
-        predicted = congruence.afs_c_mod(r).value
-        actual = counting.count_c_poly(m, m * n) % m
+    predicted, actual = RESIDUES[args.property](m, n)
     verdict = "PASS" if predicted == actual else "FAIL"
     print(f"predicted={predicted} actual={actual} {verdict}")
     return 0 if verdict == "PASS" else 1
@@ -189,9 +187,10 @@ class VerifyReport:
         self.failures.append(record)
 
 
-def _verify_oracle_b(report: VerifyReport, bases: range, ns: range) -> None:
+def _verify_oracle_b(report: VerifyReport, args) -> None:
+    ns = args.n_range
     top = ns.stop - 1
-    for m in bases:
+    for m in args.base_range:
         table = counting.recurrence_table(m, top)
         gf = counting.count_b_gf(m, top)
         for n in ns:
@@ -211,9 +210,9 @@ def _verify_oracle_b(report: VerifyReport, bases: range, ns: range) -> None:
                     report.fail(m, n, expected, nested, method="nested")
 
 
-def _verify_oracle_c(report: VerifyReport, bases: range, ns: range) -> None:
-    for m in bases:
-        for n in ns:
+def _verify_oracle_c(report: VerifyReport, args) -> None:
+    for m in args.base_range:
+        for n in args.n_range:
             report.cases_run += 1
             expected = None
             try:
@@ -234,9 +233,9 @@ def _verify_oracle_c(report: VerifyReport, bases: range, ns: range) -> None:
                     report.fail(m, n, expected, nested, method="nested")
 
 
-def _verify_bijection(report: VerifyReport, bases: range, ns: range) -> None:
-    for m in bases:
-        for n in ns:
+def _verify_bijection(report: VerifyReport, args) -> None:
+    for m in args.base_range:
+        for n in args.n_range:
             report.cases_run += 1
             parts = partitions.enumerate_b(m, n)
             members = enumerate_members(m, n)
@@ -253,50 +252,19 @@ def _verify_bijection(report: VerifyReport, bases: range, ns: range) -> None:
                 report.fail(m, n, 0, bad, method="round-trip")
 
 
-def _verify_afs_b(report: VerifyReport, bases: range, ns: range) -> None:
-    for m in bases:
-        for n in ns:
+def _verify_residues(report: VerifyReport, args) -> None:
+    check = RESIDUES[report.suite]
+    for m in args.base_range:
+        for n in args.n_range:
             report.cases_run += 1
-            predicted = congruence.b_mod_product(to_base(m, n)).value
-            actual = counting.count_b_poly(m, m * n) % m
-            if predicted != actual:
-                report.fail(m, n, predicted, actual)
+            expected, actual = check(m, n)
+            if expected != actual:
+                report.fail(m, n, expected, actual)
 
 
-def _verify_afs_c(report: VerifyReport, bases: range, ns: range) -> None:
-    for m in bases:
-        for n in ns:
-            report.cases_run += 1
-            predicted = congruence.c_mod_formula(to_base(m, n)).value
-            actual = counting.count_c_poly(m, m * n) % m
-            if predicted != actual:
-                report.fail(m, n, predicted, actual)
-
-
-def _verify_afs_equiv(report: VerifyReport, bases: range, ns: range) -> None:
-    for m in bases:
-        for n in ns:
-            report.cases_run += 1
-            r = to_base(m, n)
-            lhs = congruence.afs_c_mod(r).value
-            rhs = congruence.c_mod_formula(r).value
-            if lhs != rhs:
-                report.fail(m, n, rhs, lhs)
-
-
-def _verify_reduction(report: VerifyReport, bases: range, ns: range) -> None:
-    for m in bases:
-        for n in ns:
-            report.cases_run += 1
-            lhs = counting.count_c_poly(m, m**3 * n) % m
-            rhs = counting.count_c_poly(m, m * n) % m
-            if lhs != rhs:
-                report.fail(m, n, rhs, lhs)
-
-
-def _verify_churchhouse(report: VerifyReport, ks: range, ns: range) -> None:
-    for k in ks:
-        for n in ns:
+def _verify_churchhouse(report: VerifyReport, args) -> None:
+    for k in args.k_range:
+        for n in args.n_range:
             report.cases_run += 1
             first, second = congruence.churchhouse_check(k, n)
             if not first:
@@ -305,33 +273,27 @@ def _verify_churchhouse(report: VerifyReport, ks: range, ns: range) -> None:
                 report.fail(2, n, "0", "nonzero", k=k, form="second")
 
 
+# suite -> runner over the grid, in the order usage lists them
+SUITES = {
+    "oracle-b": _verify_oracle_b,
+    "oracle-c": _verify_oracle_c,
+    "bijection": _verify_bijection,
+    "afs-b": _verify_residues,
+    "afs-c": _verify_residues,
+    "afs-equiv": _verify_residues,
+    "churchhouse": _verify_churchhouse,
+    "reduction": _verify_residues,
+}
+
+
 def cmd_verify(args) -> int:
     report = VerifyReport(args.suite)
-    if args.suite == "churchhouse":
-        _verify_churchhouse(report, args.k_range, args.n_range)
-    else:
-        runner = {
-            "oracle-b": _verify_oracle_b,
-            "oracle-c": _verify_oracle_c,
-            "bijection": _verify_bijection,
-            "afs-b": _verify_afs_b,
-            "afs-c": _verify_afs_c,
-            "afs-equiv": _verify_afs_equiv,
-            "reduction": _verify_reduction,
-        }[args.suite]
-        runner(report, args.base_range, args.n_range)
+    SUITES[args.suite](report, args)
     for failure in report.failures:
         print(json.dumps(failure))
-    print(
-        json.dumps(
-            {
-                "suite": report.suite,
-                "cases_run": report.cases_run,
-                "failures": len(report.failures),
-                "skipped": report.skipped,
-            }
-        )
-    )
+    summary = {"suite": report.suite, "cases_run": report.cases_run,
+               "failures": len(report.failures), "skipped": report.skipped}
+    print(json.dumps(summary))
     return 1 if report.failures else 0
 
 
@@ -352,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="b: all m-ary partitions; c: gap-free only")
     p.add_argument("--base", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=B_METHODS, default="poly",
+    p.add_argument("--method", choices=B_ROUTES, default="poly",
                    help="gf and recurrence apply to kind b only")
     p.add_argument("--check", action="store_true",
                    help="run every applicable method and fail on disagreement")
@@ -419,10 +381,7 @@ def main(argv=None) -> int:
     try:
         with _full_decimal():
             return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,8 +77,6 @@ def count_b_poly(m: int, n: int) -> int:
     one prefix sum plus one affine substitution in the binomial basis."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 1
     alpha = to_base(m, n).digits
     j = len(alpha) - 1
     if j == 0:
@@ -110,8 +108,6 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 1
     cap = loop_budget(budget)
     alpha = to_base(m, n).digits
     if len(alpha) == 1:
@@ -144,8 +140,6 @@ def count_c_poly(m: int, n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 1
     alpha = to_base(m, n).digits
     j = len(alpha) - 1
     if j == 0:
@@ -171,6 +165,17 @@ def count_c_poly(m: int, n: int) -> int:
     return total
 
 
+def c_estimate(m: int, n: int, cap: int) -> int:
+    """c(m, n) exactly, or the lower bound (n-1)//m + 1 when that alone
+    exceeds cap: the all-ones partition and those with k >= 1 parts m and
+    at least one part 1 are gap-free.  The mirror of ``b_estimate`` for
+    budget checks before walking anything c(m, n) counts; n >= 1."""
+    floor = (n - 1) // m + 1
+    if floor > cap:
+        return floor
+    return count_c_poly(m, n)
+
+
 def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
     """Literal evaluation of the gap-free strata sums.
 
@@ -180,8 +185,6 @@ def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 1
     cap = loop_budget(budget)
     alpha = to_base(m, n).digits
     j = len(alpha) - 1

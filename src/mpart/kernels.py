@@ -14,6 +14,8 @@ per leaf (per completed partition), so the step total equals the count.
 
 from __future__ import annotations
 
+from .radix import to_base
+
 
 def nested_sum_b(m: int, alpha, cap: int) -> int:
     """Leaf count of the chained loops k_j..k_1 with upper bounds
@@ -78,9 +80,7 @@ def nested_sum_c(m: int, alpha, chi, tops, cap: int) -> int:
 
 def walk_partitions(m: int, n: int, cap: int) -> int:
     """Number of m-ary partitions of n by direct multiplicity recursion."""
-    j = 0
-    while m ** (j + 1) <= n:
-        j += 1
+    j = to_base(m, n).j
     powers = [m**t for t in range(j + 1)]
     steps = [0]
 
@@ -107,9 +107,7 @@ def walk_gapfree(m: int, n: int, cap: int) -> int:
     """Number of gap-free m-ary partitions of n by the pruned
     multiplicity recursion (lower exponents stay present once a top part
     has been chosen)."""
-    j = 0
-    while m ** (j + 1) <= n:
-        j += 1
+    j = to_base(m, n).j
     powers = [m**t for t in range(j + 1)]
     need = [(powers[t] - 1) // (m - 1) for t in range(j + 1)]
     steps = [0]

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import EnumerationBudgetExceeded, enum_budget
-from .counting import b_estimate
+from .counting import b_estimate, c_estimate
+from .radix import to_base
 from . import kernels
 
 
@@ -63,13 +64,6 @@ def is_gap_free(p: MaryPartition) -> bool:
     return all(lam > 0 for lam in p.mults)
 
 
-def _top_exponent(m: int, n: int) -> int:
-    j = 0
-    while m ** (j + 1) <= n:
-        j += 1
-    return j
-
-
 def _canonical(m: int, mults: list[int]) -> MaryPartition:
     top = len(mults) - 1
     while top > 0 and mults[top] == 0:
@@ -94,7 +88,7 @@ def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     cap = enum_budget(budget)
     if b_estimate(m, n, cap) > cap:
         raise EnumerationBudgetExceeded(f"more than {cap} partitions of {n} in base {m}")
-    j = _top_exponent(m, n)
+    j = to_base(m, n).j
     powers = [m**t for t in range(j + 1)]
     mults = [0] * (j + 1)
     out: list[MaryPartition] = []
@@ -123,13 +117,21 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     Generated directly: once a top part m**t is chosen, every lower
     exponent must keep multiplicity >= 1, which prunes the choice of each
     multiplicity to a feasible range and leaves no dead branches.
+
+    Raises EnumerationBudgetExceeded before the walk when c(m, n) exceeds
+    the budget (see ``counting.c_estimate``), and inside the walk once more
+    than the budget would be materialized.
     """
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget(budget)
-    j = _top_exponent(m, n)
+    if c_estimate(m, n, cap) > cap:
+        raise EnumerationBudgetExceeded(
+            f"more than {cap} gap-free partitions of {n} in base {m}"
+        )
+    j = to_base(m, n).j
     powers = [m**t for t in range(j + 1)]
     # need[t]: cheapest way to keep exponents 0..t-1 all present
     need = [(powers[t] - 1) // (m - 1) for t in range(j + 1)]
@@ -166,7 +168,8 @@ def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
     """|enumerate_b(m, n)| computed by the same multiplicity walk without
     materializing the partitions; the innermost choice, lambda_1, is
     counted by its range length instead of walked.  1 at n = 0 for the
-    empty partition."""
+    empty partition.  Refuses in O(1), before the walk, when n//m + 1
+    already exceeds the budget, so no huge n reaches the recursion."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:
@@ -174,7 +177,8 @@ def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
     if n == 0:
         return 1
     cap = enum_budget(budget)
-    count = kernels.walk_partitions(m, n, cap)
+    # the partitions into parts 1 and m alone number n//m + 1
+    count = -1 if n // m + 1 > cap else kernels.walk_partitions(m, n, cap)
     if count < 0:
         raise EnumerationBudgetExceeded(f"more than {cap} partitions of {n} in base {m}")
     return count
@@ -183,7 +187,9 @@ def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
 def count_c_enum(m: int, n: int, budget: int | None = None) -> int:
     """|enumerate_c(m, n)| by the pruned gap-free walk, without
     materializing; the innermost choice, lambda_1, is counted by its
-    range length instead of walked.  1 at n = 0 for the empty partition."""
+    range length instead of walked.  1 at n = 0 for the empty partition.
+    Refuses in O(1), before the walk, when (n-1)//m + 1 already exceeds
+    the budget."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:
@@ -191,7 +197,8 @@ def count_c_enum(m: int, n: int, budget: int | None = None) -> int:
     if n == 0:
         return 1
     cap = enum_budget(budget)
-    count = kernels.walk_gapfree(m, n, cap)
+    # the gap-free partitions into parts 1 and m alone number (n-1)//m + 1
+    count = -1 if (n - 1) // m + 1 > cap else kernels.walk_gapfree(m, n, cap)
     if count < 0:
         raise EnumerationBudgetExceeded(
             f"more than {cap} gap-free partitions of {n} in base {m}"

@@ -1,11 +1,13 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpart.bijection import BetaSeq, enumerate_members, is_member, phi, phi_inv
 from mpart.budgets import EnumerationBudgetExceeded
 from mpart.counting import recurrence_table
-from mpart.partitions import MaryPartition, enumerate_b
+from mpart.partitions import MaryPartition, enumerate_b, weight
 from mpart.radix import to_base
 
 # the full correspondence for base 4, n = 36 (multiplicities and sequences
@@ -102,6 +104,16 @@ def test_round_trip_small_grid():
         for n in range(1, 121):
             for p in enumerate_b(m, n):
                 assert phi_inv(phi(p, n)) == p
+
+
+@settings(deadline=None)
+@given(st.integers(2, 10), st.lists(st.integers(0, 40), max_size=8), st.integers(1, 40))
+def test_phi_round_trip_property(m, lower_mults, top_mult):
+    # any canonical multiplicity vector: free lower entries, nonzero top
+    p = MaryPartition(m, (*lower_mults, top_mult))
+    image = phi(p, weight(p))
+    assert is_member(image)
+    assert phi_inv(image) == p
 
 
 def test_bijection_onto_members_small_grid():

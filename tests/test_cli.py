@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from mpart import counting
+from mpart import congruence, counting
 from mpart.cli import main
 from mpart.counting import count_b_poly
 from mpart.radix import to_base
@@ -99,6 +99,20 @@ def test_every_subcommand_answers_or_refuses_huge_n_at_once(capsys, command, n):
     code, _, _ = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code in (0, 2)
+
+
+@pytest.mark.parametrize("command", ["table", "verify-bijection",
+                                     "count-enumerate-b", "count-enumerate-c"])
+def test_enumerations_refuse_n_deeper_than_the_recursion_limit(capsys, command):
+    # 2**1100 has 1101 binary digits; every budget check is made before a
+    # walk would recurse that deep
+    argv = _huge_n_commands(2**1100)[command]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    if command.startswith("count"):
+        assert "fallback: --method poly" in err
 
 
 def test_table_matches_golden(capsys):
@@ -226,6 +240,13 @@ def test_invalid_base_exits_2(capsys):
     assert "base" in err
 
 
+def test_reduction_at_base_zero_exits_2(capsys):
+    # c(0, 0) once answered 1 unchecked, and the residue "% 0" raised
+    code, _, err = run(capsys, "verify", "--suite", "reduction", "--base-range", "0..0",
+                       "--n-range", "0..1")
+    assert (code, err) == (2, "error: base must be >= 2, got 0\n")
+
+
 @pytest.fixture
 def low_int_str_limit():
     """The interpreter's int -> str limit at its minimum, 640 digits."""
@@ -258,3 +279,119 @@ def test_verify_failure_json_past_the_int_str_limit(capsys, monkeypatch, low_int
     failure, summary = (json.loads(line) for line in out.splitlines())
     assert failure["method"] == "poly" and len(failure["actual"]) == 701
     assert summary["failures"] == 1
+
+
+def _quotient_count(m, x):
+    """A wrong count whose residues are easy to predict: x // m."""
+    return x // m
+
+
+def _zero_afs_c_mod(r):
+    return congruence.Residue(0, r.m)
+
+
+def _failure_lines(suite, records, cases):
+    lines = [json.dumps({"m": m, "n": n, "suite": suite,
+                         "expected": expected, "actual": actual})
+             for m, n, expected, actual in records]
+    summary = {"suite": suite, "cases_run": cases, "failures": len(records), "skipped": 0}
+    return "\n".join(lines + [json.dumps(summary)]) + "\n"
+
+
+# (module, attribute, replacement, argv, stdout); every case exits 1.  The
+# pinned lines fix which side each check records as expected and actual.
+WRONG_SIDE_CASES = {
+    "verify-afs-b": (
+        counting, "count_b_poly", _quotient_count,
+        ["verify", "--suite", "afs-b", "--base-range", "3..4", "--n-range", "1..5"],
+        _failure_lines("afs-b", [(3, 1, "2", "1"), (3, 2, "0", "2"), (3, 3, "2", "0"),
+                                 (3, 5, "0", "2"), (4, 1, "2", "1"), (4, 2, "3", "2"),
+                                 (4, 3, "0", "3"), (4, 4, "2", "0"), (4, 5, "0", "1")], 10),
+    ),
+    "verify-afs-c": (
+        counting, "count_c_poly", _quotient_count,
+        ["verify", "--suite", "afs-c", "--base-range", "3..4", "--n-range", "1..5"],
+        _failure_lines("afs-c", [(3, 5, "0", "2")], 10),
+    ),
+    "verify-reduction": (
+        counting, "count_c_poly", _quotient_count,
+        ["verify", "--suite", "reduction", "--base-range", "3..4", "--n-range", "1..5"],
+        _failure_lines("reduction", [(3, 1, "1", "0"), (3, 2, "2", "0"), (3, 4, "1", "0"),
+                                     (3, 5, "2", "0"), (4, 1, "1", "0"), (4, 2, "2", "0"),
+                                     (4, 3, "3", "0"), (4, 5, "1", "0")], 10),
+    ),
+    "verify-afs-equiv": (
+        congruence, "afs_c_mod", _zero_afs_c_mod,
+        ["verify", "--suite", "afs-equiv", "--base-range", "3..4", "--n-range", "1..5"],
+        _failure_lines("afs-equiv", [(3, 1, "1", "0"), (3, 2, "2", "0"), (3, 4, "1", "0"),
+                                     (4, 1, "1", "0"), (4, 2, "2", "0"), (4, 3, "3", "0"),
+                                     (4, 5, "1", "0")], 10),
+    ),
+    "congruence-afs-b": (
+        counting, "count_b_poly", _quotient_count,
+        ["congruence", "--property", "afs-b", "--base", "3", "--n", "5"],
+        "predicted=0 actual=2 FAIL\n",
+    ),
+    "congruence-afs-c": (
+        counting, "count_c_poly", _quotient_count,
+        ["congruence", "--property", "afs-c", "--base", "5", "--n", "487"],
+        "predicted=1 actual=2 FAIL\n",
+    ),
+    "congruence-afs-c-ell": (
+        counting, "count_c_poly", _quotient_count,
+        ["congruence", "--property", "afs-c-ell", "--base", "5", "--n", "487"],
+        "predicted=1 actual=2 FAIL\n",
+    ),
+    "congruence-afs-c-ell-formula": (
+        congruence, "afs_c_mod", _zero_afs_c_mod,
+        ["congruence", "--property", "afs-c-ell", "--base", "5", "--n", "487"],
+        "predicted=0 actual=1 FAIL\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SIDE_CASES))
+def test_residue_failures_are_pinned(capsys, monkeypatch, case):
+    module, name, wrong, argv, expected_out = WRONG_SIDE_CASES[case]
+    monkeypatch.setattr(module, name, wrong)
+    assert run(capsys, *argv) == (1, expected_out, "")
+
+
+USAGE_ERRORS = {
+    "suite": (
+        ["verify", "--suite", "nope", "--n-range", "1..2"],
+        "usage: mpart verify [-h] --suite\n"
+        "                    {oracle-b,oracle-c,bijection,afs-b,afs-c,afs-equiv,"
+        "churchhouse,reduction}\n"
+        "                    [--base-range BASE_RANGE] --n-range N_RANGE\n"
+        "                    [--k-range K_RANGE]\n"
+        "mpart verify: error: argument --suite: invalid choice: 'nope' (choose from "
+        "'oracle-b', 'oracle-c', 'bijection', 'afs-b', 'afs-c', 'afs-equiv', "
+        "'churchhouse', 'reduction')\n",
+    ),
+    "method": (
+        ["count", "--kind", "b", "--base", "3", "--n", "10", "--method", "nope"],
+        "usage: mpart count [-h] --kind {b,c} --base BASE --n N\n"
+        "                   [--method {nested,poly,recurrence,gf,enumerate}] [--check]\n"
+        "mpart count: error: argument --method: invalid choice: 'nope' (choose from "
+        "'nested', 'poly', 'recurrence', 'gf', 'enumerate')\n",
+    ),
+    "property": (
+        ["congruence", "--property", "nope", "--base", "3", "--n", "10"],
+        "usage: mpart congruence [-h] --property {afs-b,afs-c,afs-c-ell,churchhouse}\n"
+        "                        --base BASE --n N [--k K]\n"
+        "mpart congruence: error: argument --property: invalid choice: 'nope' (choose "
+        "from 'afs-b', 'afs-c', 'afs-c-ell', 'churchhouse')\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("option", sorted(USAGE_ERRORS))
+def test_invalid_choice_usage_is_pinned(capsys, monkeypatch, option):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    argv, expected_err = USAGE_ERRORS[option]
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc_info.value.code == 2
+    assert (captured.out, captured.err) == ("", expected_err)

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from mpart.budgets import EnumerationBudgetExceeded
-from mpart.counting import recurrence_table
+from mpart.counting import count_c_poly, recurrence_table
 from mpart.partitions import (
     MaryPartition,
     count_b_enum,
@@ -138,4 +138,28 @@ def test_enumerate_b_checks_its_budget_before_the_walk():
         start = time.perf_counter()
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_b(2, n)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_enumerate_c_checks_its_budget_before_the_walk():
+    # refused exactly when c(m, n) exceeds the budget, and at once for huge n
+    for m, n in ((2, 100), (3, 200), (5, 60)):
+        c = count_c_poly(m, n)
+        assert len(enumerate_c(m, n, budget=c)) == c
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_c(m, n, budget=c - 1)
+    for n in (2**70, 10**12):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_c(2, n)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_walk_counts_refuse_huge_n_before_recursing():
+    # 2**1100 has 1101 binary digits, deeper than the interpreter's
+    # recursion limit; the floors refuse it without walking
+    for count in (count_b_enum, count_c_enum):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetExceeded):
+            count(2, 2**1100)
         assert time.perf_counter() - start < 1.0
