@@ -33,7 +33,7 @@ from .partitions import (
     is_gap_free,
     weight,
 )
-from .polysum import IntPolynomial, binom_int
+from .polysum import IntPolynomial
 from .radix import BaseRepr, from_base, shift_up, to_base
 
 __version__ = "0.1.0"
@@ -50,7 +50,6 @@ __all__ = [
     "TableBudgetExceeded",
     "afs_c_mod",
     "b_mod_product",
-    "binom_int",
     "c_mod_formula",
     "chi_vector",
     "churchhouse_check",

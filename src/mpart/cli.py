@@ -145,13 +145,10 @@ def cmd_phi_inv(args) -> int:
 
 def cmd_table(args) -> int:
     j = to_base(args.base, args.n).j
-    rows = []
+    # phi reverses lex order, so the descending partitions come out in
+    # ascending order of their sequences
     for p in partitions.enumerate_b(args.base, args.n):
-        beta = phi(p, args.n).msb_first()
-        rows.append((beta, p.padded_msb_first(j)))
-    rows.sort(key=lambda row: row[0])
-    for beta, mults in rows:
-        print(f"{_fmt(mults)}\t{_fmt(beta)}")
+        print(f"{_fmt(p.padded_msb_first(j))}\t{_fmt(phi(p, args.n).msb_first())}")
     return 0
 
 

@@ -91,8 +91,9 @@ def b_estimate(m: int, n: int, cap: int) -> int:
     """b(m, n) exactly, or the lower bound n//m + 1 when that alone exceeds
     cap: the partitions into parts 1 and m already number n//m + 1.  Either
     way the result exceeds cap exactly when b(m, n) does, and the exact
-    count is only taken for n below about m*cap, where it is cheap.  Budget
-    checks call this before walking anything b(m, n) counts."""
+    count is only taken for n below about m*cap, where it is cheap.  The
+    nested routes and ``bijection.enumerate_members`` check it before
+    walking."""
     floor = n // m + 1
     if floor > cap:
         return floor
@@ -118,16 +119,7 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
             f"nested summation for base {m}, n={n} needs at least {estimate} "
             f"innermost steps (budget {cap}); use count_b_poly"
         )
-    count = kernels.nested_sum_b(m, alpha, cap)
-    if count < 0:
-        raise LoopBudgetExceeded(
-            f"nested summation for base {m}, n={n} exceeded budget {cap}"
-        )
-    return count
-
-
-def _strata_tops(m: int, n: int, j: int) -> list[int]:
-    return [n // m**r - 1 for r in range(1, j + 1)]
+    return kernels.nested_sum_b(m, alpha, cap)
 
 
 def count_c_poly(m: int, n: int) -> int:
@@ -135,8 +127,9 @@ def count_c_poly(m: int, n: int) -> int:
     chained sums with lower bounds chi collapsed polynomially.
 
     The level polynomials h_t do not depend on the stratum, so each level
-    is built once: h_t(k) = S_t(alpha_t - 1 + m*k) - S_t(chi_t - 1) with
-    S_t the prefix sum of h_{t-1}.
+    is built once from one prefix sum S_t of h_{t-1}: stratum t adds
+    S_t(top_t) - S_t(chi_t - 1), and h_t(k) = S_t(alpha_t - 1 + m*k) -
+    S_t(chi_t - 1).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -151,29 +144,18 @@ def count_c_poly(m: int, n: int) -> int:
     total = 1
     h = IntPolynomial.constant(1)
     for r in range(1, j + 1):
+        s = h.prefix_sum()
         top = n // m**r - 1
         lo = chi[r - 1]
+        const = s.eval(lo - 1)
         if top >= lo:
-            total += h.sum_range(lo, top)
+            total += s.eval(top) - const
         if r < j:
-            s = h.prefix_sum()
             shifted = s.compose_affine(m, alpha[r] - 1)
-            const = s.eval(lo - 1)
             h = IntPolynomial.from_coeffs(
                 (shifted.coeffs[0] - const,) + shifted.coeffs[1:]
             )
     return total
-
-
-def c_estimate(m: int, n: int, cap: int) -> int:
-    """c(m, n) exactly, or the lower bound (n-1)//m + 1 when that alone
-    exceeds cap: the all-ones partition and those with k >= 1 parts m and
-    at least one part 1 are gap-free.  The mirror of ``b_estimate`` for
-    budget checks before walking anything c(m, n) counts; n >= 1."""
-    floor = (n - 1) // m + 1
-    if floor > cap:
-        return floor
-    return count_c_poly(m, n)
 
 
 def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
@@ -197,10 +179,5 @@ def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
             f"b({m}, n) >= {estimate} innermost steps (budget {cap}); use count_c_poly"
         )
     chi = chi_vector(to_base(m, n))
-    tops = _strata_tops(m, n, j)
-    count = kernels.nested_sum_c(m, alpha, chi, tops, cap)
-    if count < 0:
-        raise LoopBudgetExceeded(
-            f"nested summation for base {m}, n={n} exceeded budget {cap}"
-        )
-    return 1 + count
+    tops = [n // m**r - 1 for r in range(1, j + 1)]
+    return 1 + kernels.nested_sum_c(m, alpha, chi, tops, cap)

@@ -1,8 +1,10 @@
 """Walkers for the hot counting loops.
 
-Every function returns a nonnegative count, or -1 as soon as the running
-step counter would exceed ``cap``.  Integers are Python's own, so no input
-size overflows.
+Every function returns a nonnegative count, and raises the budget error of
+its family as soon as the running step counter passes ``cap``:
+``LoopBudgetExceeded`` for the nested sums, ``EnumerationBudgetExceeded``
+for the partition walks.  Integers are Python's own, so no input size
+overflows.
 
 All four walkers iterate their loops literally at every level above the
 innermost and take the innermost loop's count as its range length.  For
@@ -10,11 +12,20 @@ the nested-sum walkers that loop is the innermost sum of ones; for the
 partition walkers, which recurse over part multiplicities, it is the
 choice of lambda_1, with lambda_0 taking the rest.  Steps are counted one
 per leaf (per completed partition), so the step total equals the count.
+The partition walkers first compare the floor of their count, the
+partitions into parts 1 and m alone, with ``cap``; so a walk that starts
+has n at most about m*cap and recurses no deeper than its digit count.
 """
 
 from __future__ import annotations
 
-from .radix import to_base
+from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded
+from .radix import BaseRepr, from_base, to_base
+
+
+def _loop_overrun(m: int, alpha, cap: int) -> LoopBudgetExceeded:
+    n = from_base(BaseRepr(m, tuple(alpha)))
+    return LoopBudgetExceeded(f"nested summation for base {m}, n={n} exceeded budget {cap}")
 
 
 def nested_sum_b(m: int, alpha, cap: int) -> int:
@@ -24,21 +35,18 @@ def nested_sum_b(m: int, alpha, cap: int) -> int:
     j = len(alpha) - 1
     if j == 0:
         return 1
-    steps = [0]
+    steps = 0
 
     def walk(t: int, bound: int) -> int:
+        nonlocal steps
         if t == 1:
-            count = bound + 1
-            steps[0] += count
-            if steps[0] > cap:
-                return -1
-            return count
+            steps += bound + 1
+            if steps > cap:
+                raise _loop_overrun(m, alpha, cap)
+            return bound + 1
         total = 0
         for k in range(bound + 1):
-            sub = walk(t - 1, alpha[t - 1] + m * k)
-            if sub < 0:
-                return -1
-            total += sub
+            total += walk(t - 1, alpha[t - 1] + m * k)
         return total
 
     return walk(j, alpha[j])
@@ -49,55 +57,47 @@ def nested_sum_c(m: int, alpha, chi, tops, cap: int) -> int:
     k_r..k_1, where k_r ranges over [chi[r-1], tops[r-1]] and k_t over
     [chi[t-1], alpha[t] - 1 + m*k_{t+1}].  Empty ranges contribute 0."""
     j = len(alpha) - 1
-    steps = [0]
+    steps = 0
 
     def walk(t: int, bound: int) -> int:
+        nonlocal steps
         lo = chi[t - 1]
         if bound < lo:
             return 0
         if t == 1:
-            count = bound - lo + 1
-            steps[0] += count
-            if steps[0] > cap:
-                return -1
-            return count
+            steps += bound - lo + 1
+            if steps > cap:
+                raise _loop_overrun(m, alpha, cap)
+            return bound - lo + 1
         total = 0
         for k in range(lo, bound + 1):
-            sub = walk(t - 1, alpha[t - 1] - 1 + m * k)
-            if sub < 0:
-                return -1
-            total += sub
+            total += walk(t - 1, alpha[t - 1] - 1 + m * k)
         return total
 
-    total = 0
-    for r in range(1, j + 1):
-        sub = walk(r, tops[r - 1])
-        if sub < 0:
-            return -1
-        total += sub
-    return total
+    return sum(walk(r, tops[r - 1]) for r in range(1, j + 1))
 
 
 def walk_partitions(m: int, n: int, cap: int) -> int:
     """Number of m-ary partitions of n by direct multiplicity recursion."""
     j = to_base(m, n).j
+    refusal = f"more than {cap} partitions of {n} in base {m}"
+    if n // m + 1 > cap:
+        raise EnumerationBudgetExceeded(refusal)
     powers = [m**t for t in range(j + 1)]
-    steps = [0]
+    steps = 0
 
     def walk(t: int, rem: int) -> int:
+        nonlocal steps
         if t <= 1:
             # lambda_1 runs over 0..rem//m; t = 0 only for n < m
             count = rem // m + 1 if t else 1
-            steps[0] += count
-            if steps[0] > cap:
-                return -1
+            steps += count
+            if steps > cap:
+                raise EnumerationBudgetExceeded(refusal)
             return count
         total = 0
         for lam in range(rem // powers[t], -1, -1):
-            sub = walk(t - 1, rem - lam * powers[t])
-            if sub < 0:
-                return -1
-            total += sub
+            total += walk(t - 1, rem - lam * powers[t])
         return total
 
     return walk(j, n)
@@ -108,11 +108,17 @@ def walk_gapfree(m: int, n: int, cap: int) -> int:
     multiplicity recursion (lower exponents stay present once a top part
     has been chosen)."""
     j = to_base(m, n).j
+    refusal = f"more than {cap} gap-free partitions of {n} in base {m}"
+    # the all-ones partition and those with k >= 1 parts m and at least one
+    # part 1 number (n-1)//m + 1
+    if (n - 1) // m + 1 > cap:
+        raise EnumerationBudgetExceeded(refusal)
     powers = [m**t for t in range(j + 1)]
     need = [(powers[t] - 1) // (m - 1) for t in range(j + 1)]
-    steps = [0]
+    steps = 0
 
     def walk(t: int, rem: int, started: bool) -> int:
+        nonlocal steps
         if t <= 1:
             # Every lambda_1 <= (rem - need[1]) // m leaves rem - m*lambda_1
             # >= need[1] = 1 ones, so no choice leaves a gap at exponent 0;
@@ -121,21 +127,15 @@ def walk_gapfree(m: int, n: int, cap: int) -> int:
             count = max(0, (rem - need[1]) // m) if t else 0
             if not started:
                 count += 1
-            steps[0] += count
-            if steps[0] > cap:
-                return -1
+            steps += count
+            if steps > cap:
+                raise EnumerationBudgetExceeded(refusal)
             return count
         total = 0
         for lam in range((rem - need[t]) // powers[t], 0, -1):
-            sub = walk(t - 1, rem - lam * powers[t], True)
-            if sub < 0:
-                return -1
-            total += sub
+            total += walk(t - 1, rem - lam * powers[t], True)
         if not started:
-            sub = walk(t - 1, rem, False)
-            if sub < 0:
-                return -1
-            total += sub
+            total += walk(t - 1, rem, False)
         return total
 
     return walk(j, n, False)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import EnumerationBudgetExceeded, enum_budget
-from .counting import b_estimate, c_estimate
 from .radix import to_base
 from . import kernels
 
@@ -77,17 +76,17 @@ def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     exponent of n).
 
     Raises EnumerationBudgetExceeded before the walk when b(m, n) exceeds
-    the budget (see ``counting.b_estimate``), and inside the walk once more
-    than the budget would be materialized; formula-based counting should be
-    used instead.
+    the budget, as counted by its own walk without materializing
+    (``kernels.walk_partitions``), and inside the walk once more than the
+    budget would be materialized; formula-based counting should be used
+    instead.
     """
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget(budget)
-    if b_estimate(m, n, cap) > cap:
-        raise EnumerationBudgetExceeded(f"more than {cap} partitions of {n} in base {m}")
+    kernels.walk_partitions(m, n, cap)
     j = to_base(m, n).j
     powers = [m**t for t in range(j + 1)]
     mults = [0] * (j + 1)
@@ -119,18 +118,16 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     multiplicity to a feasible range and leaves no dead branches.
 
     Raises EnumerationBudgetExceeded before the walk when c(m, n) exceeds
-    the budget (see ``counting.c_estimate``), and inside the walk once more
-    than the budget would be materialized.
+    the budget, as counted by its own walk without materializing
+    (``kernels.walk_gapfree``), and inside the walk once more than the
+    budget would be materialized.
     """
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget(budget)
-    if c_estimate(m, n, cap) > cap:
-        raise EnumerationBudgetExceeded(
-            f"more than {cap} gap-free partitions of {n} in base {m}"
-        )
+    kernels.walk_gapfree(m, n, cap)
     j = to_base(m, n).j
     powers = [m**t for t in range(j + 1)]
     # need[t]: cheapest way to keep exponents 0..t-1 all present
@@ -138,19 +135,17 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     mults = [0] * (j + 1)
     out: list[MaryPartition] = []
 
-    def emit(rem: int) -> None:
-        mults[0] = rem
-        if len(out) >= cap:
-            raise EnumerationBudgetExceeded(
-                f"more than {cap} gap-free partitions of {n} in base {m}"
-            )
-        out.append(_canonical(m, mults))
-
     def walk(t: int, rem: int, started: bool) -> None:
         if t == 0:
-            if started and rem == 0:
-                return  # would leave a gap at exponent 0
-            emit(rem)
+            # No leaf has a gap at exponent 0: once started, t = 1 takes
+            # lambda_1 <= (rem - need[1]) // m, which leaves rem >= 1 ones;
+            # before that, rem = n >= 1.
+            mults[0] = rem
+            if len(out) >= cap:
+                raise EnumerationBudgetExceeded(
+                    f"more than {cap} gap-free partitions of {n} in base {m}"
+                )
+            out.append(_canonical(m, mults))
             return
         hi = (rem - need[t]) // powers[t]
         for lam in range(hi, 0, -1):
@@ -166,41 +161,28 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
 
 def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
     """|enumerate_b(m, n)| computed by the same multiplicity walk without
-    materializing the partitions; the innermost choice, lambda_1, is
-    counted by its range length instead of walked.  1 at n = 0 for the
-    empty partition.  Refuses in O(1), before the walk, when n//m + 1
-    already exceeds the budget, so no huge n reaches the recursion."""
+    materializing the partitions (``kernels.walk_partitions``), which
+    refuses in O(1) when n//m + 1 already exceeds the budget and otherwise
+    stops as soon as its count passes it.  1 at n = 0 for the empty
+    partition."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 1
-    cap = enum_budget(budget)
-    # the partitions into parts 1 and m alone number n//m + 1
-    count = -1 if n // m + 1 > cap else kernels.walk_partitions(m, n, cap)
-    if count < 0:
-        raise EnumerationBudgetExceeded(f"more than {cap} partitions of {n} in base {m}")
-    return count
+    return kernels.walk_partitions(m, n, enum_budget(budget))
 
 
 def count_c_enum(m: int, n: int, budget: int | None = None) -> int:
-    """|enumerate_c(m, n)| by the pruned gap-free walk, without
-    materializing; the innermost choice, lambda_1, is counted by its
-    range length instead of walked.  1 at n = 0 for the empty partition.
-    Refuses in O(1), before the walk, when (n-1)//m + 1 already exceeds
-    the budget."""
+    """|enumerate_c(m, n)| by the pruned gap-free walk without
+    materializing (``kernels.walk_gapfree``), which refuses in O(1) when
+    (n-1)//m + 1 already exceeds the budget.  1 at n = 0 for the empty
+    partition."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return 1
-    cap = enum_budget(budget)
-    # the gap-free partitions into parts 1 and m alone number (n-1)//m + 1
-    count = -1 if (n - 1) // m + 1 > cap else kernels.walk_gapfree(m, n, cap)
-    if count < 0:
-        raise EnumerationBudgetExceeded(
-            f"more than {cap} gap-free partitions of {n} in base {m}"
-        )
-    return count
+    return kernels.walk_gapfree(m, n, enum_budget(budget))

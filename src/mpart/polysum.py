@@ -22,17 +22,6 @@ from dataclasses import dataclass
 from operator import mul
 
 
-def binom_int(x: int, k: int) -> int:
-    """C(x, k) for any integer x and k >= 0, generalized to negative x via
-    C(x, k) = (-1)**k * C(k - x - 1, k)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if x < 0:
-        sign = -1 if k % 2 else 1
-        return sign * math.comb(k - x - 1, k)
-    return math.comb(x, k)
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """coeffs[i] multiplies C(x, i); canonical form has no trailing zero

@@ -135,6 +135,19 @@ def test_table_ternary_10(capsys):
     assert betas == sorted(betas)
 
 
+def test_table_rows_ascend_by_sequence_as_walked(capsys):
+    # phi reverses lex order, so the descending partitions give strictly
+    # ascending sequences without a sort
+    for m in range(2, 8):
+        table = counting.recurrence_table(m, 150)
+        for n in range(1, 120 if m == 2 else 151):
+            code, out, _ = run(capsys, "table", "--base", str(m), "--n", str(n))
+            betas = [tuple(int(x) for x in line.split("\t")[1].split(",") if x)
+                     for line in out.splitlines()]
+            assert (code, len(betas)) == (0, table[n]), (m, n)
+            assert all(a < b for a, b in zip(betas, betas[1:])), (m, n)
+
+
 def test_phi_and_inverse(capsys):
     code, out, _ = run(capsys, "phi", "--base", "4", "--n", "36",
                        "--partition", "1,4,4")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mpart.budgets import LoopBudgetExceeded, TableBudgetExceeded
 from mpart.counting import (
-    c_estimate,
     chi_vector,
     count_b_gf,
     count_b_nested,
@@ -233,21 +232,6 @@ def test_argument_validation():
         recurrence_table(1, 10)
     with pytest.raises(ValueError):
         count_b_gf(2, -1)
-
-
-def test_c_estimate_refuses_exactly_when_c_exceeds_the_cap():
-    for m in (2, 3, 4, 5):
-        for n in range(1, 120):
-            c = len(enumerate_c(m, n))
-            floor = (n - 1) // m + 1
-            assert floor <= c  # the bound is sound
-            for cap in {floor - 1, floor, c - 1, c, 10**6}:
-                estimate = c_estimate(m, n, cap)
-                assert (estimate > cap) == (c > cap)
-                assert estimate == (floor if floor > cap else c)
-    start = time.perf_counter()
-    assert c_estimate(2, 2**70, 10**6) == 2**69
-    assert time.perf_counter() - start < 0.1
 
 
 def test_every_formula_route_checks_the_base_at_n_zero():

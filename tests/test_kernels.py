@@ -1,9 +1,13 @@
 """The walkers count exactly and abort at exactly their cap."""
 
+import time
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpart import kernels, partitions
+from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded
 from mpart.counting import chi_vector, recurrence_table
 from mpart.radix import to_base
 
@@ -18,7 +22,7 @@ def test_python_walker_leaf_counts_match_recurrence():
 
 
 def test_python_walker_cap_is_exact():
-    # a cap of exactly the walker's own count passes; one below aborts
+    # a cap of exactly the walker's own count passes; one below raises
     m, n = 2, 100
     r = to_base(m, n)
     alpha, chi = list(r.digits), list(chi_vector(r))
@@ -32,21 +36,37 @@ def test_python_walker_cap_is_exact():
     counts = {name: walk(10**6) for name, walk in walkers.items()}
     assert counts == {"nested_sum_b": 9828, "nested_sum_c": 4913,
                       "walk_partitions": 9828, "walk_gapfree": 4914}
+    refusals = {
+        "nested_sum_b": (LoopBudgetExceeded,
+                         "nested summation for base 2, n=100 exceeded budget 9827"),
+        "nested_sum_c": (LoopBudgetExceeded,
+                         "nested summation for base 2, n=100 exceeded budget 4912"),
+        "walk_partitions": (EnumerationBudgetExceeded,
+                            "more than 9827 partitions of 100 in base 2"),
+        "walk_gapfree": (EnumerationBudgetExceeded,
+                         "more than 4913 gap-free partitions of 100 in base 2"),
+    }
     for name, walk in walkers.items():
         assert walk(counts[name]) == counts[name], name
-        assert walk(counts[name] - 1) == -1, name
+        cls, text = refusals[name]
+        with pytest.raises(cls) as info:
+            walk(counts[name] - 1)
+        assert str(info.value) == text, name
 
 
 def test_unbounded_ints_beyond_64_bits():
     # one implementation on Python ints: no input size overflows
     n = 2**70 + 3
     alpha = list(to_base(2, n).digits)
-    assert kernels.nested_sum_b(2, alpha, 10) == -1
-    assert kernels.walk_partitions(2, n, 10) == -1
+    with pytest.raises(LoopBudgetExceeded):
+        kernels.nested_sum_b(2, alpha, 10)
+    with pytest.raises(EnumerationBudgetExceeded):
+        kernels.walk_partitions(2, n, 10)
 
 
 def test_gapfree_walker_unbounded_ints_beyond_64_bits():
-    assert kernels.walk_gapfree(2, 2**70 + 3, 10) == -1
+    with pytest.raises(EnumerationBudgetExceeded):
+        kernels.walk_gapfree(2, 2**70 + 3, 10)
 
 
 def test_partition_walkers_on_full_grid_with_exact_cap():
@@ -62,14 +82,48 @@ def test_partition_walkers_on_full_grid_with_exact_cap():
                 walk = getattr(kernels, name)
                 assert walk(m, n, 10**9) == count, (name, m, n)
                 assert walk(m, n, count) == count, (name, m, n)
-                assert walk(m, n, count - 1) == -1, (name, m, n)
+                with pytest.raises(EnumerationBudgetExceeded):
+                    walk(m, n, count - 1)
+
+
+def test_walkers_refuse_exactly_when_the_count_exceeds_the_cap():
+    # the floors count the partitions into parts 1 and m alone; of those,
+    # the gap-free ones are the all-ones partition and those with a part 1
+    for m in (2, 3, 4, 5):
+        table = recurrence_table(m, 119)
+        for n in range(1, 120):
+            cases = {
+                kernels.walk_partitions: (n // m + 1, table[n]),
+                kernels.walk_gapfree: ((n - 1) // m + 1, len(partitions.enumerate_c(m, n))),
+            }
+            for walk, (floor, count) in cases.items():
+                assert floor <= count  # the floor is sound
+                for cap in {floor - 1, floor, count - 1, count}:
+                    if count > cap:
+                        with pytest.raises(EnumerationBudgetExceeded):
+                            walk(m, n, cap)
+                    else:
+                        assert walk(m, n, cap) == count
+
+
+def test_partition_walkers_refuse_n_deeper_than_the_recursion_limit():
+    # 2**1100 has 1101 binary digits; the floor refuses it before the walk
+    for walk in (kernels.walk_partitions, kernels.walk_gapfree):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetExceeded):
+            walk(2, 2**1100, 10**6)
+        assert time.perf_counter() - start < 1.0
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(2, 10), st.integers(0, 3000))
 def test_walk_partitions_matches_recurrence_property(m, n):
     # b(m, n) can exceed the cap here (b(2, 3000) is about 6e12); the walker
-    # then returns -1, after about 4 s for m = 2, hence the example count
+    # then raises, after about 4 s for m = 2, hence the example count
     cap = 10**9
     b = recurrence_table(m, n)[n]
-    assert kernels.walk_partitions(m, n, cap) == (b if b <= cap else -1)
+    if b > cap:
+        with pytest.raises(EnumerationBudgetExceeded):
+            kernels.walk_partitions(m, n, cap)
+    else:
+        assert kernels.walk_partitions(m, n, cap) == b

@@ -3,20 +3,11 @@ import random
 import pytest
 
 from mpart import polysum
-from mpart.polysum import IntPolynomial, binom_int
+from mpart.polysum import IntPolynomial
 
 
 def brute_sum(p, lo, hi):
     return sum(p.eval(x) for x in range(lo, hi + 1))
-
-
-def test_binom_int_matches_table():
-    assert binom_int(4, 2) == 6
-    assert binom_int(3, 5) == 0
-    assert binom_int(-1, 3) == -1
-    assert binom_int(-2, 2) == 3
-    with pytest.raises(ValueError):
-        binom_int(3, -1)
 
 
 def test_eval_examples():
