@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budgets import EnumerationBudgetExceeded, enum_budget
-from .counting import b_estimate
+from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, enum_budget
 from .partitions import MaryPartition, weight
 from .radix import to_base
+from . import kernels
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,21 @@ def enumerate_members(m: int, n: int, budget: int | None = None) -> list[BetaSeq
     """Every sequence satisfying the chained bounds, in ascending
     lexicographic order on (beta_j, ..., beta_1), by bounded nested loops.
 
-    The sequences are in bijection with the partitions of n, so the
-    budget is checked against b(m, n) before the loops start, and again
-    inside them."""
+    The budget is checked before the loops start by the nested-sum walker
+    (``kernels.nested_sum_b``), whose loops are exactly the ones run here:
+    it counts the sequences without materializing them, so the check
+    borrows nothing from the formulas the sequences are checked against."""
     r = to_base(m, n)
     alpha = r.digits
     j = r.j
     cap = enum_budget(budget)
     if j == 0:
         return [BetaSeq(m, n, ())]
-    if b_estimate(m, n, cap) > cap:
-        raise EnumerationBudgetExceeded(f"more than {cap} sequences for n={n} in base {m}")
+    try:
+        kernels.nested_sum_b(m, n, cap)
+    except LoopBudgetExceeded:
+        raise EnumerationBudgetExceeded(
+            f"more than {cap} sequences for n={n} in base {m}") from None
     out: list[BetaSeq] = []
     buf = [0] * j
 
@@ -125,10 +129,6 @@ def enumerate_members(m: int, n: int, budget: int | None = None) -> list[BetaSeq
         for beta in range(bound + 1):
             buf[t - 1] = beta
             if t == 1:
-                if len(out) >= cap:
-                    raise EnumerationBudgetExceeded(
-                        f"more than {cap} sequences for n={n} in base {m}"
-                    )
                 out.append(BetaSeq(m, n, tuple(buf)))
             else:
                 walk(t - 1, alpha[t - 1] + m * beta)

@@ -92,8 +92,8 @@ def b_estimate(m: int, n: int, cap: int) -> int:
     cap: the partitions into parts 1 and m already number n//m + 1.  Either
     way the result exceeds cap exactly when b(m, n) does, and the exact
     count is only taken for n below about m*cap, where it is cheap.  The
-    nested routes and ``bijection.enumerate_members`` check it before
-    walking."""
+    two nested routes check it before walking, so that their refusal can
+    name the count they would need."""
     floor = n // m + 1
     if floor > cap:
         return floor
@@ -105,13 +105,13 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
 
     The innermost step count equals the answer itself, so the step budget
     is checked up front (against the lower bound n//m + 1 or the
-    polynomial count, see ``b_estimate``) and again inside the walker.
+    polynomial count, see ``b_estimate``); the walker keeps its own count
+    against the same budget.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     cap = loop_budget(budget)
-    alpha = to_base(m, n).digits
-    if len(alpha) == 1:
+    if to_base(m, n).j == 0:
         return 1
     estimate = b_estimate(m, n, cap)
     if estimate > cap:
@@ -119,7 +119,7 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
             f"nested summation for base {m}, n={n} needs at least {estimate} "
             f"innermost steps (budget {cap}); use count_b_poly"
         )
-    return kernels.nested_sum_b(m, alpha, cap)
+    return kernels.nested_sum_b(m, n, cap)
 
 
 def count_c_poly(m: int, n: int) -> int:
@@ -168,9 +168,7 @@ def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     cap = loop_budget(budget)
-    alpha = to_base(m, n).digits
-    j = len(alpha) - 1
-    if j == 0:
+    if to_base(m, n).j == 0:
         return 1
     estimate = b_estimate(m, n, cap)
     if estimate > cap:
@@ -178,6 +176,4 @@ def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
             f"nested summation for base {m}, n={n} could need up to "
             f"b({m}, n) >= {estimate} innermost steps (budget {cap}); use count_c_poly"
         )
-    chi = chi_vector(to_base(m, n))
-    tops = [n // m**r - 1 for r in range(1, j + 1)]
-    return 1 + kernels.nested_sum_c(m, alpha, chi, tops, cap)
+    return 1 + kernels.nested_sum_c(m, n, cap)

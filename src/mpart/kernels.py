@@ -1,37 +1,37 @@
 """Walkers for the hot counting loops.
 
-Every function returns a nonnegative count, and raises the budget error of
-its family as soon as the running step counter passes ``cap``:
+Every walker takes ``(m, n, cap)``, returns a nonnegative count, and raises
+the budget error of its family as soon as its step counter passes ``cap``:
 ``LoopBudgetExceeded`` for the nested sums, ``EnumerationBudgetExceeded``
 for the partition walks.  Integers are Python's own, so no input size
 overflows.
 
-All four walkers iterate their loops literally at every level above the
-innermost and take the innermost loop's count as its range length.  For
-the nested-sum walkers that loop is the innermost sum of ones; for the
-partition walkers, which recurse over part multiplicities, it is the
-choice of lambda_1, with lambda_0 taking the rest.  Steps are counted one
-per leaf (per completed partition), so the step total equals the count.
-The partition walkers first compare the floor of their count, the
-partitions into parts 1 and m alone, with ``cap``; so a walk that starts
-has n at most about m*cap and recurses no deeper than its digit count.
+Each walker first compares a floor of its count with ``cap``: the
+partitions into parts 1 and m alone, n//m + 1, or the gap-free ones among
+them, (n-1)//m + 1, less the all-ones partition for ``nested_sum_c``,
+whose leaves number c - 1.  So a walk that starts has n at most about
+m*cap and recurses no deeper than its digit count.  It then iterates its
+loops literally at every level above the innermost and takes the
+innermost loop's count as its range length: the innermost sum of ones for
+the nested sums; for the partition walks, which recurse over part
+multiplicities, the choice of lambda_1, with lambda_0 taking the rest.
+Steps are counted one per leaf, so the step total equals the count.
 """
 
 from __future__ import annotations
 
 from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded
-from .radix import BaseRepr, from_base, to_base
+from .radix import to_base
 
 
-def _loop_overrun(m: int, alpha, cap: int) -> LoopBudgetExceeded:
-    n = from_base(BaseRepr(m, tuple(alpha)))
-    return LoopBudgetExceeded(f"nested summation for base {m}, n={n} exceeded budget {cap}")
-
-
-def nested_sum_b(m: int, alpha, cap: int) -> int:
+def nested_sum_b(m: int, n: int, cap: int) -> int:
     """Leaf count of the chained loops k_j..k_1 with upper bounds
-    alpha[j] and alpha[t] + m*k_{t+1}; alpha is the full digit vector,
-    least significant first."""
+    alpha_j and alpha_t + m*k_{t+1} over the base-m digits alpha of n:
+    b(m, n)."""
+    refusal = f"nested summation for base {m}, n={n} exceeded budget {cap}"
+    if n // m + 1 > cap:
+        raise LoopBudgetExceeded(refusal)
+    alpha = to_base(m, n).digits
     j = len(alpha) - 1
     if j == 0:
         return 1
@@ -42,7 +42,7 @@ def nested_sum_b(m: int, alpha, cap: int) -> int:
         if t == 1:
             steps += bound + 1
             if steps > cap:
-                raise _loop_overrun(m, alpha, cap)
+                raise LoopBudgetExceeded(refusal)
             return bound + 1
         total = 0
         for k in range(bound + 1):
@@ -52,11 +52,16 @@ def nested_sum_b(m: int, alpha, cap: int) -> int:
     return walk(j, alpha[j])
 
 
-def nested_sum_c(m: int, alpha, chi, tops, cap: int) -> int:
+def nested_sum_c(m: int, n: int, cap: int) -> int:
     """Total leaf count over the strata r = 1..j of the chained loops
-    k_r..k_1, where k_r ranges over [chi[r-1], tops[r-1]] and k_t over
-    [chi[t-1], alpha[t] - 1 + m*k_{t+1}].  Empty ranges contribute 0."""
-    j = len(alpha) - 1
+    k_r..k_1, where k_r ranges over [chi_r, n//m**r - 1] and k_t over
+    [chi_t, alpha_t - 1 + m*k_{t+1}], with chi_t = 1 where alpha_{t-1} = 0
+    and 0 otherwise: c(m, n) - 1.  Empty ranges contribute 0."""
+    refusal = f"nested summation for base {m}, n={n} exceeded budget {cap}"
+    if (n - 1) // m > cap:
+        raise LoopBudgetExceeded(refusal)
+    alpha = to_base(m, n).digits
+    chi = [0 if d else 1 for d in alpha[:-1]]
     steps = 0
 
     def walk(t: int, bound: int) -> int:
@@ -67,14 +72,14 @@ def nested_sum_c(m: int, alpha, chi, tops, cap: int) -> int:
         if t == 1:
             steps += bound - lo + 1
             if steps > cap:
-                raise _loop_overrun(m, alpha, cap)
+                raise LoopBudgetExceeded(refusal)
             return bound - lo + 1
         total = 0
         for k in range(lo, bound + 1):
             total += walk(t - 1, alpha[t - 1] - 1 + m * k)
         return total
 
-    return sum(walk(r, tops[r - 1]) for r in range(1, j + 1))
+    return sum(walk(r, n // m**r - 1) for r in range(1, len(alpha)))
 
 
 def walk_partitions(m: int, n: int, cap: int) -> int:

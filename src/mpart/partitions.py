@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budgets import EnumerationBudgetExceeded, enum_budget
+from .budgets import enum_budget
 from .radix import to_base
 from . import kernels
 
@@ -77,16 +77,14 @@ def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition
 
     Raises EnumerationBudgetExceeded before the walk when b(m, n) exceeds
     the budget, as counted by its own walk without materializing
-    (``kernels.walk_partitions``), and inside the walk once more than the
-    budget would be materialized; formula-based counting should be used
-    instead.
+    (``kernels.walk_partitions``, whose leaves are exactly the partitions
+    materialized here); formula-based counting should be used instead.
     """
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    cap = enum_budget(budget)
-    kernels.walk_partitions(m, n, cap)
+    kernels.walk_partitions(m, n, enum_budget(budget))
     j = to_base(m, n).j
     powers = [m**t for t in range(j + 1)]
     mults = [0] * (j + 1)
@@ -95,10 +93,6 @@ def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     def walk(t: int, rem: int) -> None:
         if t == 0:
             mults[0] = rem
-            if len(out) >= cap:
-                raise EnumerationBudgetExceeded(
-                    f"more than {cap} partitions of {n} in base {m}"
-                )
             out.append(_canonical(m, mults))
             return
         for lam in range(rem // powers[t], -1, -1):
@@ -119,15 +113,14 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
 
     Raises EnumerationBudgetExceeded before the walk when c(m, n) exceeds
     the budget, as counted by its own walk without materializing
-    (``kernels.walk_gapfree``), and inside the walk once more than the
-    budget would be materialized.
+    (``kernels.walk_gapfree``, whose leaves are exactly the partitions
+    materialized here).
     """
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    cap = enum_budget(budget)
-    kernels.walk_gapfree(m, n, cap)
+    kernels.walk_gapfree(m, n, enum_budget(budget))
     j = to_base(m, n).j
     powers = [m**t for t in range(j + 1)]
     # need[t]: cheapest way to keep exponents 0..t-1 all present
@@ -141,10 +134,6 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
             # lambda_1 <= (rem - need[1]) // m, which leaves rem >= 1 ones;
             # before that, rem = n >= 1.
             mults[0] = rem
-            if len(out) >= cap:
-                raise EnumerationBudgetExceeded(
-                    f"more than {cap} gap-free partitions of {n} in base {m}"
-                )
             out.append(_canonical(m, mults))
             return
         hi = (rem - need[t]) // powers[t]

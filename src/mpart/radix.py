@@ -33,10 +33,6 @@ class BaseRepr:
         """Index of the most significant digit."""
         return len(self.digits) - 1
 
-    @property
-    def value(self) -> int:
-        return from_base(self)
-
     def msb_first(self) -> tuple[int, ...]:
         """Digits in display order, most significant first."""
         return tuple(reversed(self.digits))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpart import counting
 from mpart.bijection import BetaSeq, enumerate_members, is_member, phi, phi_inv
 from mpart.budgets import EnumerationBudgetExceeded
 from mpart.counting import recurrence_table
@@ -146,3 +147,16 @@ def test_enumerate_members_checks_its_budget_before_the_walk():
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_members(2, n)
         assert time.perf_counter() - start < 1.0
+
+
+def test_enumerate_members_borrows_nothing_from_the_formulas(monkeypatch):
+    # the sequences are checked against count_b_poly elsewhere, so neither
+    # their enumeration nor its budget check may go through it
+    def fail(m, n):
+        raise AssertionError("count_b_poly called")
+
+    monkeypatch.setattr(counting, "count_b_poly", fail)
+    assert len(enumerate_members(3, 100)) == 402
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        enumerate_members(3, 100, budget=401)
+    assert str(info.value) == "more than 401 sequences for n=100 in base 3"

@@ -8,28 +8,23 @@ from hypothesis import strategies as st
 
 from mpart import kernels, partitions
 from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded
-from mpart.counting import chi_vector, recurrence_table
-from mpart.radix import to_base
+from mpart.counting import recurrence_table
 
 
 def test_python_walker_leaf_counts_match_recurrence():
     for m in (2, 3, 5):
         table = recurrence_table(m, 90)
         for n in range(1, 91):
-            alpha = list(to_base(m, n).digits)
-            assert kernels.nested_sum_b(m, alpha, 10**7) == table[n]
+            assert kernels.nested_sum_b(m, n, 10**7) == table[n]
             assert kernels.walk_partitions(m, n, 10**7) == table[n]
 
 
 def test_python_walker_cap_is_exact():
     # a cap of exactly the walker's own count passes; one below raises
     m, n = 2, 100
-    r = to_base(m, n)
-    alpha, chi = list(r.digits), list(chi_vector(r))
-    tops = [n // m**k - 1 for k in range(1, len(alpha))]
     walkers = {
-        "nested_sum_b": lambda cap: kernels.nested_sum_b(m, alpha, cap),
-        "nested_sum_c": lambda cap: kernels.nested_sum_c(m, alpha, chi, tops, cap),
+        "nested_sum_b": lambda cap: kernels.nested_sum_b(m, n, cap),
+        "nested_sum_c": lambda cap: kernels.nested_sum_c(m, n, cap),
         "walk_partitions": lambda cap: kernels.walk_partitions(m, n, cap),
         "walk_gapfree": lambda cap: kernels.walk_gapfree(m, n, cap),
     }
@@ -57,9 +52,8 @@ def test_python_walker_cap_is_exact():
 def test_unbounded_ints_beyond_64_bits():
     # one implementation on Python ints: no input size overflows
     n = 2**70 + 3
-    alpha = list(to_base(2, n).digits)
     with pytest.raises(LoopBudgetExceeded):
-        kernels.nested_sum_b(2, alpha, 10)
+        kernels.nested_sum_b(2, n, 10)
     with pytest.raises(EnumerationBudgetExceeded):
         kernels.walk_partitions(2, n, 10)
 
@@ -88,19 +82,23 @@ def test_partition_walkers_on_full_grid_with_exact_cap():
 
 def test_walkers_refuse_exactly_when_the_count_exceeds_the_cap():
     # the floors count the partitions into parts 1 and m alone; of those,
-    # the gap-free ones are the all-ones partition and those with a part 1
+    # the gap-free ones are the all-ones partition and those with a part 1;
+    # the gap-free nested sums leave out the all-ones partition
     for m in (2, 3, 4, 5):
         table = recurrence_table(m, 119)
         for n in range(1, 120):
+            c = len(partitions.enumerate_c(m, n))
             cases = {
-                kernels.walk_partitions: (n // m + 1, table[n]),
-                kernels.walk_gapfree: ((n - 1) // m + 1, len(partitions.enumerate_c(m, n))),
+                kernels.walk_partitions: (n // m + 1, table[n], EnumerationBudgetExceeded),
+                kernels.walk_gapfree: ((n - 1) // m + 1, c, EnumerationBudgetExceeded),
+                kernels.nested_sum_b: (n // m + 1, table[n], LoopBudgetExceeded),
+                kernels.nested_sum_c: ((n - 1) // m, c - 1, LoopBudgetExceeded),
             }
-            for walk, (floor, count) in cases.items():
+            for walk, (floor, count, error) in cases.items():
                 assert floor <= count  # the floor is sound
                 for cap in {floor - 1, floor, count - 1, count}:
                     if count > cap:
-                        with pytest.raises(EnumerationBudgetExceeded):
+                        with pytest.raises(error):
                             walk(m, n, cap)
                     else:
                         assert walk(m, n, cap) == count
@@ -108,9 +106,15 @@ def test_walkers_refuse_exactly_when_the_count_exceeds_the_cap():
 
 def test_partition_walkers_refuse_n_deeper_than_the_recursion_limit():
     # 2**1100 has 1101 binary digits; the floor refuses it before the walk
-    for walk in (kernels.walk_partitions, kernels.walk_gapfree):
+    walkers = {
+        kernels.walk_partitions: EnumerationBudgetExceeded,
+        kernels.walk_gapfree: EnumerationBudgetExceeded,
+        kernels.nested_sum_b: LoopBudgetExceeded,
+        kernels.nested_sum_c: LoopBudgetExceeded,
+    }
+    for walk, error in walkers.items():
         start = time.perf_counter()
-        with pytest.raises(EnumerationBudgetExceeded):
+        with pytest.raises(error):
             walk(2, 2**1100, 10**6)
         assert time.perf_counter() - start < 1.0
 

@@ -1,5 +1,7 @@
-"""The repository tracks no file that its own .gitignore excludes."""
+"""The repository tracks no file that its own .gitignore excludes, and
+every function the benchmark's tracer wraps still exists."""
 
+import importlib.util
 import subprocess
 from pathlib import Path
 
@@ -23,3 +25,20 @@ def test_no_tracked_file_is_ignored():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_every_traced_name_resolves():
+    # the tracer records a name it cannot find as missing instead of failing,
+    # so a rename would otherwise only show in a benchmark run
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = []
+    for layer, names in tracing.TRACED.items():
+        module = importlib.import_module(f"mpart.{layer}")
+        for qualname in names:
+            owner_name, _, attr = qualname.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if owner is None or not callable(vars(owner).get(attr)):
+                unresolved.append(f"{layer}.{qualname}")
+    assert unresolved == []
