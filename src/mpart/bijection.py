@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, enum_budget
+from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, enum_budget, shown
 from .partitions import MaryPartition, weight
 from .radix import to_base
 from . import kernels
@@ -83,10 +83,7 @@ def phi_inv(b: BetaSeq) -> MaryPartition:
         for t in range(j - 1, 0, -1):
             lam[t] = alpha[t] - b.betas[t - 1] + b.m * b.betas[t]
         lam[0] = alpha[0] + b.m * b.betas[0]
-    top = j
-    while top > 0 and lam[top] == 0:
-        top -= 1
-    return MaryPartition(b.m, tuple(lam[: top + 1]))
+    return MaryPartition.from_mults(b.m, lam)
 
 
 def is_member(b: BetaSeq) -> bool:
@@ -121,7 +118,7 @@ def enumerate_members(m: int, n: int, budget: int | None = None) -> list[BetaSeq
         kernels.nested_sum_b(m, n, cap)
     except LoopBudgetExceeded:
         raise EnumerationBudgetExceeded(
-            f"more than {cap} sequences for n={n} in base {m}") from None
+            f"more than {shown(cap)} sequences for n={shown(n)} in base {shown(m)}") from None
     out: list[BetaSeq] = []
     buf = [0] * j
 

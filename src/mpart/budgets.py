@@ -45,3 +45,13 @@ def loop_budget(override: int | None = None) -> int:
     if override is not None:
         return override
     return int(os.environ.get(LOOP_BUDGET_ENV, DEFAULT_LOOP_BUDGET))
+
+
+def shown(value: int) -> str:
+    """value in decimal for a refusal text, or ``<N-bit integer>`` where the
+    interpreter's int -> str digit limit refuses the decimal form, so that
+    the refusal of a huge n still raises its budget error."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"

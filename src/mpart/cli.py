@@ -116,7 +116,7 @@ def cmd_count(args) -> int:
         return 2
     try:
         print(routes[args.method](args.base, args.n))
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("fallback: --method poly", file=sys.stderr)
         return 2
@@ -129,10 +129,7 @@ def cmd_digits(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    mults_msb = list(args.partition)
-    while len(mults_msb) > 1 and mults_msb[0] == 0:
-        mults_msb.pop(0)
-    p = MaryPartition(args.base, tuple(reversed(mults_msb)))
+    p = MaryPartition.from_mults(args.base, args.partition[::-1])
     print(_fmt(phi(p, args.n).msb_first()))
     return 0
 
@@ -359,9 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextmanager
 def _full_decimal():
-    """Lift the interpreter's int -> str digit limit while a command runs,
-    so that counts print in full however long they are; the caller's limit
-    is restored afterwards.  Interpreters without the limit need nothing."""
+    """Lift the interpreter's int <-> str digit limit while a command is
+    parsed and runs, so that n is read and counts print in full however long
+    they are; the caller's limit is restored afterwards.  Interpreters
+    without the limit need nothing."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -374,13 +372,13 @@ def _full_decimal():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        with _full_decimal():
+    with _full_decimal():
+        args = build_parser().parse_args(argv)
+        try:
             return args.func(args)
-    except (BudgetExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except (BudgetExceeded, RecursionError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ Counts at n = 0 are defined as 1 (the empty partition) throughout.
 
 from __future__ import annotations
 
-from .budgets import LoopBudgetExceeded, TableBudgetExceeded, enum_budget, loop_budget
+from .budgets import LoopBudgetExceeded, TableBudgetExceeded, enum_budget, loop_budget, shown
 from .polysum import IntPolynomial
 from .radix import BaseRepr, to_base
 from . import kernels
@@ -40,8 +40,8 @@ def _check_table_size(m: int, upto: int) -> None:
     cap = enum_budget()
     if upto > cap:
         raise TableBudgetExceeded(
-            f"a table of b({m}, 0..{upto}) needs {upto + 1} entries "
-            f"(budget {cap}); use count_b_poly"
+            f"a table of b({shown(m)}, 0..{shown(upto)}) needs {shown(upto + 1)} entries "
+            f"(budget {shown(cap)}); use count_b_poly"
         )
 
 
@@ -116,8 +116,8 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
     estimate = b_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(
-            f"nested summation for base {m}, n={n} needs at least {estimate} "
-            f"innermost steps (budget {cap}); use count_b_poly"
+            f"nested summation for base {shown(m)}, n={shown(n)} needs at least "
+            f"{shown(estimate)} innermost steps (budget {shown(cap)}); use count_b_poly"
         )
     return kernels.nested_sum_b(m, n, cap)
 
@@ -173,7 +173,8 @@ def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
     estimate = b_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(
-            f"nested summation for base {m}, n={n} could need up to "
-            f"b({m}, n) >= {estimate} innermost steps (budget {cap}); use count_c_poly"
+            f"nested summation for base {shown(m)}, n={shown(n)} could need up to "
+            f"b({shown(m)}, n) >= {shown(estimate)} innermost steps (budget {shown(cap)}); "
+            "use count_c_poly"
         )
     return 1 + kernels.nested_sum_c(m, n, cap)

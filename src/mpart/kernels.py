@@ -16,11 +16,18 @@ innermost loop's count as its range length: the innermost sum of ones for
 the nested sums; for the partition walks, which recurse over part
 multiplicities, the choice of lambda_1, with lambda_0 taking the rest.
 Steps are counted one per leaf, so the step total equals the count.
+
+The two partition walks share one multiplicity recursion: the gap-free
+walk runs it once per stratum of ``gapfree_strata``, largest part first,
+each stratum with the budget the ones before it left, so it too raises
+exactly when its total passes ``cap``.
 """
 
 from __future__ import annotations
 
-from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded
+from collections.abc import Iterator
+
+from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, shown
 from .radix import to_base
 
 
@@ -28,7 +35,7 @@ def nested_sum_b(m: int, n: int, cap: int) -> int:
     """Leaf count of the chained loops k_j..k_1 with upper bounds
     alpha_j and alpha_t + m*k_{t+1} over the base-m digits alpha of n:
     b(m, n)."""
-    refusal = f"nested summation for base {m}, n={n} exceeded budget {cap}"
+    refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
     if n // m + 1 > cap:
         raise LoopBudgetExceeded(refusal)
     alpha = to_base(m, n).digits
@@ -57,7 +64,7 @@ def nested_sum_c(m: int, n: int, cap: int) -> int:
     k_r..k_1, where k_r ranges over [chi_r, n//m**r - 1] and k_t over
     [chi_t, alpha_t - 1 + m*k_{t+1}], with chi_t = 1 where alpha_{t-1} = 0
     and 0 otherwise: c(m, n) - 1.  Empty ranges contribute 0."""
-    refusal = f"nested summation for base {m}, n={n} exceeded budget {cap}"
+    refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
     if (n - 1) // m > cap:
         raise LoopBudgetExceeded(refusal)
     alpha = to_base(m, n).digits
@@ -82,19 +89,16 @@ def nested_sum_c(m: int, n: int, cap: int) -> int:
     return sum(walk(r, n // m**r - 1) for r in range(1, len(alpha)))
 
 
-def walk_partitions(m: int, n: int, cap: int) -> int:
-    """Number of m-ary partitions of n by direct multiplicity recursion."""
-    j = to_base(m, n).j
-    refusal = f"more than {cap} partitions of {n} in base {m}"
-    if n // m + 1 > cap:
-        raise EnumerationBudgetExceeded(refusal)
-    powers = [m**t for t in range(j + 1)]
+def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str) -> int:
+    """Number of partitions of n into parts m**0..m**top by the multiplicity
+    recursion, raising EnumerationBudgetExceeded(refusal) once it passes cap."""
+    powers = [m**t for t in range(top + 1)]
     steps = 0
 
     def walk(t: int, rem: int) -> int:
         nonlocal steps
         if t <= 1:
-            # lambda_1 runs over 0..rem//m; t = 0 only for n < m
+            # lambda_1 runs over 0..rem//m; t = 0 only for top = 0
             count = rem // m + 1 if t else 1
             steps += count
             if steps > cap:
@@ -105,42 +109,42 @@ def walk_partitions(m: int, n: int, cap: int) -> int:
             total += walk(t - 1, rem - lam * powers[t])
         return total
 
-    return walk(j, n)
+    return walk(top, n)
+
+
+def gapfree_strata(m: int, n: int) -> Iterator[tuple[int, int]]:
+    """(r, rest) for r = j, j-1, ..., 0 wherever rest = n - (1 + m + ... +
+    m**r) >= 0: the gap-free partitions of n with largest part m**r are one
+    part of each size m**0..m**r plus any partition of rest into those
+    parts.  Largest part first, so the deepest walk starts first."""
+    for r in range(to_base(m, n).j, -1, -1):
+        rest = n - (m ** (r + 1) - 1) // (m - 1)
+        if rest >= 0:
+            yield r, rest
+
+
+def walk_partitions(m: int, n: int, cap: int) -> int:
+    """Number of m-ary partitions of n by direct multiplicity recursion."""
+    j = to_base(m, n).j
+    refusal = f"more than {shown(cap)} partitions of {shown(n)} in base {shown(m)}"
+    if n // m + 1 > cap:
+        raise EnumerationBudgetExceeded(refusal)
+    return _multiplicity_walk(m, n, j, cap, refusal)
 
 
 def walk_gapfree(m: int, n: int, cap: int) -> int:
-    """Number of gap-free m-ary partitions of n by the pruned
-    multiplicity recursion (lower exponents stay present once a top part
-    has been chosen)."""
-    j = to_base(m, n).j
-    refusal = f"more than {cap} gap-free partitions of {n} in base {m}"
+    """Number of gap-free m-ary partitions of n: the plain multiplicity walk
+    summed over ``gapfree_strata``, each stratum with the budget the ones
+    before it left."""
+    to_base(m, n)  # rejects m < 2 and n < 0 before the floor divides by m
+    refusal = f"more than {shown(cap)} gap-free partitions of {shown(n)} in base {shown(m)}"
     # the all-ones partition and those with k >= 1 parts m and at least one
     # part 1 number (n-1)//m + 1
     if (n - 1) // m + 1 > cap:
         raise EnumerationBudgetExceeded(refusal)
-    powers = [m**t for t in range(j + 1)]
-    need = [(powers[t] - 1) // (m - 1) for t in range(j + 1)]
-    steps = 0
-
-    def walk(t: int, rem: int, started: bool) -> int:
-        nonlocal steps
-        if t <= 1:
-            # Every lambda_1 <= (rem - need[1]) // m leaves rem - m*lambda_1
-            # >= need[1] = 1 ones, so no choice leaves a gap at exponent 0;
-            # the all-ones partition is the one extra leaf before a top part
-            # is chosen.  t = 0 only for n < m, where nothing has started.
-            count = max(0, (rem - need[1]) // m) if t else 0
-            if not started:
-                count += 1
-            steps += count
-            if steps > cap:
-                raise EnumerationBudgetExceeded(refusal)
-            return count
-        total = 0
-        for lam in range((rem - need[t]) // powers[t], 0, -1):
-            total += walk(t - 1, rem - lam * powers[t], True)
-        if not started:
-            total += walk(t - 1, rem, False)
-        return total
-
-    return walk(j, n, False)
+    if n == 0:  # the empty partition, in no stratum, is also the only plain one
+        return _multiplicity_walk(m, 0, 0, cap, refusal)
+    total = 0
+    for r, rest in gapfree_strata(m, n):
+        total += _multiplicity_walk(m, rest, r, cap - total, refusal)
+    return total

@@ -36,6 +36,15 @@ class MaryPartition:
         if self.mults[-1] == 0:
             raise ValueError("top multiplicity must be nonzero in canonical form")
 
+    @classmethod
+    def from_mults(cls, m: int, mults) -> MaryPartition:
+        """Build a partition, stripping zero multiplicities above the
+        largest part (all but one where every entry is zero)."""
+        top = len(mults) - 1
+        while top > 0 and mults[top] == 0:
+            top -= 1
+        return cls(m, tuple(mults[: top + 1]))
+
     @property
     def top_exponent(self) -> int:
         return len(self.mults) - 1
@@ -63,11 +72,24 @@ def is_gap_free(p: MaryPartition) -> bool:
     return all(lam > 0 for lam in p.mults)
 
 
-def _canonical(m: int, mults: list[int]) -> MaryPartition:
-    top = len(mults) - 1
-    while top > 0 and mults[top] == 0:
-        top -= 1
-    return MaryPartition(m, tuple(mults[: top + 1]))
+def _materialise(m: int, n: int, top: int, lift: int, out: list[MaryPartition]) -> None:
+    """Append every partition of n into parts m**0..m**top to out, each
+    multiplicity raised by lift, in descending lexicographic order on the
+    multiplicity tuple read largest exponent first."""
+    powers = [m**t for t in range(top + 1)]
+    mults = [lift] * (top + 1)
+
+    def walk(t: int, rem: int) -> None:
+        if t == 0:
+            mults[0] = rem + lift
+            out.append(MaryPartition.from_mults(m, mults))
+            return
+        # the loop ends at lam = 0, which leaves mults[t] = lift
+        for lam in range(rem // powers[t], -1, -1):
+            mults[t] = lam + lift
+            walk(t - 1, rem - lam * powers[t])
+
+    walk(top, n)
 
 
 def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition]:
@@ -85,31 +107,18 @@ def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     kernels.walk_partitions(m, n, enum_budget(budget))
-    j = to_base(m, n).j
-    powers = [m**t for t in range(j + 1)]
-    mults = [0] * (j + 1)
     out: list[MaryPartition] = []
-
-    def walk(t: int, rem: int) -> None:
-        if t == 0:
-            mults[0] = rem
-            out.append(_canonical(m, mults))
-            return
-        for lam in range(rem // powers[t], -1, -1):
-            mults[t] = lam
-            walk(t - 1, rem - lam * powers[t])
-        mults[t] = 0
-
-    walk(j, n)
+    _materialise(m, n, to_base(m, n).j, 0, out)
     return out
 
 
 def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition]:
     """The gap-free subset of enumerate_b(m, n), in the same order.
 
-    Generated directly: once a top part m**t is chosen, every lower
-    exponent must keep multiplicity >= 1, which prunes the choice of each
-    multiplicity to a feasible range and leaves no dead branches.
+    Generated directly, stratum by stratum of ``kernels.gapfree_strata``:
+    the partitions with largest part m**r are those of the rest into parts
+    m**0..m**r with every multiplicity raised by one.  Largest part first,
+    that is enumerate_b's order.
 
     Raises EnumerationBudgetExceeded before the walk when c(m, n) exceeds
     the budget, as counted by its own walk without materializing
@@ -121,30 +130,9 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     kernels.walk_gapfree(m, n, enum_budget(budget))
-    j = to_base(m, n).j
-    powers = [m**t for t in range(j + 1)]
-    # need[t]: cheapest way to keep exponents 0..t-1 all present
-    need = [(powers[t] - 1) // (m - 1) for t in range(j + 1)]
-    mults = [0] * (j + 1)
     out: list[MaryPartition] = []
-
-    def walk(t: int, rem: int, started: bool) -> None:
-        if t == 0:
-            # No leaf has a gap at exponent 0: once started, t = 1 takes
-            # lambda_1 <= (rem - need[1]) // m, which leaves rem >= 1 ones;
-            # before that, rem = n >= 1.
-            mults[0] = rem
-            out.append(_canonical(m, mults))
-            return
-        hi = (rem - need[t]) // powers[t]
-        for lam in range(hi, 0, -1):
-            mults[t] = lam
-            walk(t - 1, rem - lam * powers[t], True)
-        mults[t] = 0
-        if not started:
-            walk(t - 1, rem, False)
-
-    walk(j, n, False)
+    for r, rest in kernels.gapfree_strata(m, n):
+        _materialise(m, rest, r, 1, out)
     return out
 
 
@@ -164,9 +152,9 @@ def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
 
 
 def count_c_enum(m: int, n: int, budget: int | None = None) -> int:
-    """|enumerate_c(m, n)| by the pruned gap-free walk without
-    materializing (``kernels.walk_gapfree``), which refuses in O(1) when
-    (n-1)//m + 1 already exceeds the budget.  1 at n = 0 for the empty
+    """|enumerate_c(m, n)| by the same strata of the multiplicity walk
+    without materializing (``kernels.walk_gapfree``), which refuses in O(1)
+    when (n-1)//m + 1 already exceeds the budget.  1 at n = 0 for the empty
     partition."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")

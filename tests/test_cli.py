@@ -115,6 +115,23 @@ def test_enumerations_refuse_n_deeper_than_the_recursion_limit(capsys, command):
         assert "fallback: --method poly" in err
 
 
+@pytest.mark.parametrize("command", ["table", "verify-bijection",
+                                     "count-enumerate-b", "count-enumerate-c"])
+def test_enumerations_at_a_huge_budget_exit_2_without_a_traceback(capsys, monkeypatch,
+                                                                   command):
+    # at this budget the floors let 2**1100 through, and the walk runs out of
+    # recursion depth at once: a resource error, reported like a refusal
+    monkeypatch.setenv("MPART_ENUM_BUDGET", str(10**400))
+    argv = _huge_n_commands(2**1100)[command]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    if command.startswith("count"):
+        assert err.endswith("fallback: --method poly\n")
+
+
 def test_table_matches_golden(capsys):
     code, out, _ = run(capsys, "table", "--base", "4", "--n", "36")
     assert code == 0
@@ -280,6 +297,15 @@ def test_count_prints_past_the_int_str_limit(capsys, low_int_str_limit):
     assert sys.get_int_max_str_digits() == low_int_str_limit  # caller's limit kept
     sys.set_int_max_str_digits(0)
     assert int(digits) == count_b_poly(2, n)
+
+
+def test_refusal_prints_n_past_the_int_str_limit(capsys, low_int_str_limit):
+    n = "1" + "0" * 700  # 10**700, longer than the caller's limit allows
+    code, out, err = run(capsys, "count", "--kind", "b", "--base", "2", "--n", n,
+                         "--method", "enumerate")
+    assert (code, out) == (2, "")
+    assert err == (f"error: more than 1000000 partitions of {n} in base 2\n"
+                   "fallback: --method poly\n")
 
 
 def test_verify_failure_json_past_the_int_str_limit(capsys, monkeypatch, low_int_str_limit):

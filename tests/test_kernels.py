@@ -1,14 +1,15 @@
 """The walkers count exactly and abort at exactly their cap."""
 
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpart import kernels, partitions
-from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded
-from mpart.counting import recurrence_table
+from mpart import bijection, counting, kernels, partitions
+from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, TableBudgetExceeded
+from mpart.counting import count_c_poly, recurrence_table
 
 
 def test_python_walker_leaf_counts_match_recurrence():
@@ -119,6 +120,50 @@ def test_partition_walkers_refuse_n_deeper_than_the_recursion_limit():
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.fixture
+def default_int_str_limit():
+    """The interpreter's default int -> str limit, 4300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter has no int -> str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
+
+
+def test_refusals_past_the_int_str_limit(default_int_str_limit):
+    # 10**5000 has more digits than the interpreter will format; the
+    # refusal text shows it by its bit length and the budget error is raised
+    n = 10**5000
+    calls = {
+        "walk_partitions": (lambda: kernels.walk_partitions(2, n, 10),
+                            EnumerationBudgetExceeded),
+        "walk_gapfree": (lambda: kernels.walk_gapfree(2, n, 10), EnumerationBudgetExceeded),
+        "nested_sum_b": (lambda: kernels.nested_sum_b(2, n, 10), LoopBudgetExceeded),
+        "nested_sum_c": (lambda: kernels.nested_sum_c(2, n, 10), LoopBudgetExceeded),
+        "count_b_nested": (lambda: counting.count_b_nested(2, n), LoopBudgetExceeded),
+        "count_c_nested": (lambda: counting.count_c_nested(2, n), LoopBudgetExceeded),
+        "count_b_enum": (lambda: partitions.count_b_enum(2, n), EnumerationBudgetExceeded),
+        "count_c_enum": (lambda: partitions.count_c_enum(2, n), EnumerationBudgetExceeded),
+        "enumerate_b": (lambda: partitions.enumerate_b(2, n), EnumerationBudgetExceeded),
+        "enumerate_c": (lambda: partitions.enumerate_c(2, n), EnumerationBudgetExceeded),
+        "enumerate_members": (lambda: bijection.enumerate_members(2, n),
+                              EnumerationBudgetExceeded),
+        "recurrence_table": (lambda: counting.recurrence_table(2, n), TableBudgetExceeded),
+        "count_b_gf": (lambda: counting.count_b_gf(2, n), TableBudgetExceeded),
+    }
+    for name, (call, error) in calls.items():
+        start = time.perf_counter()
+        with pytest.raises(error) as info:
+            call()
+        assert time.perf_counter() - start < 1.0, name
+        assert type(info.value) is error, name
+        assert "<16610-bit integer>" in str(info.value), name
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        kernels.walk_partitions(2, n, 10)
+    assert str(info.value) == "more than 10 partitions of <16610-bit integer> in base 2"
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(2, 10), st.integers(0, 3000))
 def test_walk_partitions_matches_recurrence_property(m, n):
@@ -131,3 +176,11 @@ def test_walk_partitions_matches_recurrence_property(m, n):
             kernels.walk_partitions(m, n, cap)
     else:
         assert kernels.walk_partitions(m, n, cap) == b
+    # the gap-free walk sums the same walk over its strata; at 10**6 it
+    # refuses within about 0.03 s
+    c = count_c_poly(m, n)
+    if c > 10**6:
+        with pytest.raises(EnumerationBudgetExceeded):
+            kernels.walk_gapfree(m, n, 10**6)
+    else:
+        assert kernels.walk_gapfree(m, n, 10**6) == c

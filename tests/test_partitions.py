@@ -75,9 +75,11 @@ def test_is_gap_free_examples():
 
 
 def test_enumerate_c_is_the_gap_free_subset():
-    for m, n in [(2, 40), (3, 30), (4, 73), (5, 60), (7, 6)]:
+    points = [(2, 40), (3, 30), (4, 73), (5, 60), (7, 6)]
+    points += [(m, n) for m in range(2, 8) for n in range(1, 101)]
+    for m, n in points:
         filtered = [p for p in enumerate_b(m, n) if is_gap_free(p)]
-        assert enumerate_c(m, n) == filtered
+        assert enumerate_c(m, n) == filtered, (m, n)
 
 
 def test_enumerate_c_counts():
