@@ -15,7 +15,6 @@ from .congruence import (
     churchhouse_check,
 )
 from .counting import (
-    chi_vector,
     count_b_gf,
     count_b_nested,
     count_b_poly,
@@ -34,7 +33,7 @@ from .partitions import (
     weight,
 )
 from .polysum import IntPolynomial
-from .radix import BaseRepr, from_base, shift_up, to_base
+from .radix import BaseRepr, chi_vector, from_base, shift_up, to_base
 
 __version__ = "0.1.0"
 

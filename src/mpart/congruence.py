@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .counting import chi_vector, count_b_poly
-from .radix import BaseRepr
+from .counting import count_b_poly
+from .radix import BaseRepr, chi_vector
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,13 @@ class Residue:
             raise ValueError(f"residue {self.value} not in [0, {self.modulus})")
 
 
+def _positive_digits(r: BaseRepr) -> tuple[int, ...]:
+    """The digits of n >= 1; c(m, 0) = 1 lies outside the c residue forms."""
+    if r.digits == (0,):
+        raise ValueError("defined for representations of positive integers only")
+    return r.digits
+
+
 def b_mod_product(r: BaseRepr) -> Residue:
     """b(m, m*n) mod m as the digit product prod_i (alpha_i + 1)."""
     return Residue(prod(d + 1 for d in r.digits) % r.m, r.m)
@@ -35,8 +42,8 @@ def b_mod_product(r: BaseRepr) -> Residue:
 
 def c_mod_formula(r: BaseRepr) -> Residue:
     """c(m, m*n) mod m as
-    alpha_0 + (alpha_0 - 1) * sum_i prod_{k<=i} (alpha_k - chi_k)."""
-    alpha = r.digits
+    alpha_0 + (alpha_0 - 1) * sum_i prod_{k<=i} (alpha_k - chi_k), for n >= 1."""
+    alpha = _positive_digits(r)
     chi = chi_vector(r)
     total = 0
     term = 1
@@ -53,11 +60,9 @@ def afs_c_mod(r: BaseRepr) -> Residue:
     T = sum_{i>ell} alpha_{ell+1} * ... * alpha_i (terms vanish past the
     top digit), the residue is alpha_ell + (alpha_ell - 1)*T for even ell
     and 1 - alpha_ell - (alpha_ell - 1)*T for odd ell.  Equivalent to
-    c_mod_formula for every digit vector.
+    c_mod_formula for every positive n.
     """
-    alpha = r.digits
-    if all(d == 0 for d in alpha):
-        raise ValueError("defined for representations of positive integers only")
+    alpha = _positive_digits(r)
     ell = next(i for i, d in enumerate(alpha) if d)
     tail = 0
     term = 1

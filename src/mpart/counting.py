@@ -22,14 +22,8 @@ from __future__ import annotations
 
 from .budgets import LoopBudgetExceeded, TableBudgetExceeded, enum_budget, loop_budget, shown
 from .polysum import IntPolynomial
-from .radix import BaseRepr, to_base
+from .radix import chi_vector, to_base  # chi_vector stays importable from here
 from . import kernels
-
-
-def chi_vector(r: BaseRepr) -> tuple[int, ...]:
-    """(chi_1, ..., chi_j) with chi_i = 0 where digit alpha_{i-1} is
-    positive and 1 where it is zero; empty for single-digit numbers."""
-    return tuple(0 if d > 0 else 1 for d in r.digits[:-1])
 
 
 def _check_table_size(m: int, upto: int) -> None:
@@ -71,20 +65,31 @@ def count_b_gf(m: int, upto: int) -> list[int]:
     return coeffs
 
 
+def _chain_total(m: int, offsets, strata) -> int:
+    """The vector count of a ``kernels.chain``, collapsed level by level:
+    h_0 = 1, S_t is the prefix sum of h_{t-1}, and h_t(k) = S_t(offsets[t]
+    + m*k), each level one prefix sum plus one affine substitution in the
+    binomial basis; stratum (r, top) adds S_r(top), with S_r(-1) = 0."""
+    tops = dict(strata)
+    depth = max(tops, default=0)
+    total = 0
+    h = IntPolynomial.constant(1)
+    for t in range(1, depth + 1):
+        s = h.prefix_sum()
+        if t in tops:
+            total += s.eval(tops[t])
+        if t < depth:
+            h = s.compose_affine(m, offsets[t])
+    return total
+
+
 def count_b_poly(m: int, n: int) -> int:
     """Chained summation over the digit bounds, collapsed level by level:
-    g_0 = 1 and g_t(k) = sum of g_{t-1} over [0, alpha_t + m*k], each level
-    one prefix sum plus one affine substitution in the binomial basis."""
+    g_0 = 1, g_t(k) = sum of g_{t-1} over [0, alpha_t + m*k], and b(m, n)
+    the sum of g_{j-1} over [0, alpha_j]: the one stratum of its chain."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    alpha = to_base(m, n).digits
-    j = len(alpha) - 1
-    if j == 0:
-        return 1
-    g = IntPolynomial.constant(1)
-    for t in range(1, j):
-        g = g.prefix_sum().compose_affine(m, alpha[t])
-    return g.sum_range(0, alpha[j])
+    return _chain_total(m, *kernels.chain(m, n, gapfree=False))
 
 
 def b_estimate(m: int, n: int, cap: int) -> int:
@@ -123,39 +128,12 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
 
 
 def count_c_poly(m: int, n: int) -> int:
-    """Gap-free count: 1 plus, per stratum r (largest part m**r), the
-    chained sums with lower bounds chi collapsed polynomially.
-
-    The level polynomials h_t do not depend on the stratum, so each level
-    is built once from one prefix sum S_t of h_{t-1}: stratum t adds
-    S_t(top_t) - S_t(chi_t - 1), and h_t(k) = S_t(alpha_t - 1 + m*k) -
-    S_t(chi_t - 1).
-    """
+    """Gap-free count: 1 (the all-ones partition) plus the strata of
+    ``kernels.chain``, counted from zero and collapsed by the level loop of
+    ``count_b_poly``, each level built once for every stratum."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    alpha = to_base(m, n).digits
-    j = len(alpha) - 1
-    if j == 0:
-        return 1
-    chi = chi_vector(to_base(m, n))
-    # The prefix-sum differences telescope because every inner upper bound
-    # hi = alpha_t - 1 + m*k, k >= chi_{t+1}, stays >= chi_t - 1: alpha_t = 0
-    # forces chi_{t+1} = 1, so hi >= m - 1.
-    total = 1
-    h = IntPolynomial.constant(1)
-    for r in range(1, j + 1):
-        s = h.prefix_sum()
-        top = n // m**r - 1
-        lo = chi[r - 1]
-        const = s.eval(lo - 1)
-        if top >= lo:
-            total += s.eval(top) - const
-        if r < j:
-            shifted = s.compose_affine(m, alpha[r] - 1)
-            h = IntPolynomial.from_coeffs(
-                (shifted.coeffs[0] - const,) + shifted.coeffs[1:]
-            )
-    return total
+    return 1 + _chain_total(m, *kernels.chain(m, n, gapfree=True))
 
 
 def count_c_nested(m: int, n: int, budget: int | None = None) -> int:

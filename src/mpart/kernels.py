@@ -17,6 +17,10 @@ the nested sums; for the partition walks, which recurse over part
 multiplicities, the choice of lambda_1, with lambda_0 taking the rest.
 Steps are counted one per leaf, so the step total equals the count.
 
+The two nested sums share one chained recursion over the chain that
+``chain`` derives: b's single chain, or the gap-free strata counted from
+zero, which puts them in the same shape.
+
 The two partition walks share one multiplicity recursion: the gap-free
 walk runs it once per stratum of ``gapfree_strata``, largest part first,
 each stratum with the budget the ones before it left, so it too raises
@@ -28,20 +32,36 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, shown
-from .radix import to_base
+from .radix import chi_vector, to_base
 
 
-def nested_sum_b(m: int, n: int, cap: int) -> int:
-    """Leaf count of the chained loops k_j..k_1 with upper bounds
-    alpha_j and alpha_t + m*k_{t+1} over the base-m digits alpha of n:
-    b(m, n)."""
-    refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
-    if n // m + 1 > cap:
-        raise LoopBudgetExceeded(refusal)
-    alpha = to_base(m, n).digits
-    j = len(alpha) - 1
-    if j == 0:
-        return 1
+def chain(m: int, n: int, gapfree: bool) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The chained inequalities whose solutions count b(m, n), or c(m, n) - 1
+    when ``gapfree``, as (offsets, strata): the integer vectors with, for one
+    stratum (r, top), 0 <= k_r <= top and 0 <= k_t <= offsets[t] +
+    m*k_{t+1} for t = r-1..1.  Strata come largest r first.
+
+    b has the one stratum (j, alpha_j), or (1, 0) for n < m, and offsets
+    alpha_t.  c - 1 has a stratum per largest part m**r, r = j..1, where
+    k_r runs over [chi_r, n//m**r - 1] and k_t over [chi_t, alpha_t - 1 +
+    m*k_{t+1}] (``chi_vector``).  Counted from zero, k_t = k'_t + chi_t,
+    the tops become n//m**r - 1 - chi_r and the offsets a_t = alpha_t - 1 -
+    chi_t + m*chi_{t+1}.  Every bound is >= -1, so an empty range has length
+    0: alpha_t = 0 forces chi_{t+1} = 1, so a_t >= -1, and n//m**r >= 1.
+    """
+    r = to_base(m, n)
+    alpha = r.digits
+    if not gapfree:
+        depth = max(r.j, 1)
+        return alpha, ((depth, n // m**depth),)
+    chi = (0, *chi_vector(r))  # chi[t] = chi_t; chi_0 only feeds the unread a_0
+    offsets = tuple(alpha[t] - 1 - chi[t] + m * chi[t + 1] for t in range(r.j))
+    return offsets, tuple((s, n // m**s - 1 - chi[s]) for s in range(r.j, 0, -1))
+
+
+def _chain_walk(m: int, offsets, strata, cap: int, refusal: str) -> int:
+    """Leaf count of the chained loops of ``chain``, raising
+    LoopBudgetExceeded(refusal) once it passes cap."""
     steps = 0
 
     def walk(t: int, bound: int) -> int:
@@ -53,40 +73,28 @@ def nested_sum_b(m: int, n: int, cap: int) -> int:
             return bound + 1
         total = 0
         for k in range(bound + 1):
-            total += walk(t - 1, alpha[t - 1] + m * k)
+            total += walk(t - 1, offsets[t - 1] + m * k)
         return total
 
-    return walk(j, alpha[j])
+    return sum(walk(r, top) for r, top in strata)
+
+
+def nested_sum_b(m: int, n: int, cap: int) -> int:
+    """b(m, n) as the leaf count of the chained loops k_j..k_1 with upper
+    bounds alpha_j and alpha_t + m*k_{t+1} over the base-m digits of n."""
+    refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
+    if n // m + 1 > cap:
+        raise LoopBudgetExceeded(refusal)
+    return _chain_walk(m, *chain(m, n, gapfree=False), cap, refusal)
 
 
 def nested_sum_c(m: int, n: int, cap: int) -> int:
-    """Total leaf count over the strata r = 1..j of the chained loops
-    k_r..k_1, where k_r ranges over [chi_r, n//m**r - 1] and k_t over
-    [chi_t, alpha_t - 1 + m*k_{t+1}], with chi_t = 1 where alpha_{t-1} = 0
-    and 0 otherwise: c(m, n) - 1.  Empty ranges contribute 0."""
+    """c(m, n) - 1 as the leaf count of the gap-free strata, walked from
+    zero as ``chain`` reindexes them."""
     refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
     if (n - 1) // m > cap:
         raise LoopBudgetExceeded(refusal)
-    alpha = to_base(m, n).digits
-    chi = [0 if d else 1 for d in alpha[:-1]]
-    steps = 0
-
-    def walk(t: int, bound: int) -> int:
-        nonlocal steps
-        lo = chi[t - 1]
-        if bound < lo:
-            return 0
-        if t == 1:
-            steps += bound - lo + 1
-            if steps > cap:
-                raise LoopBudgetExceeded(refusal)
-            return bound - lo + 1
-        total = 0
-        for k in range(lo, bound + 1):
-            total += walk(t - 1, alpha[t - 1] - 1 + m * k)
-        return total
-
-    return sum(walk(r, n // m**r - 1) for r in range(1, len(alpha)))
+    return _chain_walk(m, *chain(m, n, gapfree=True), cap, refusal)
 
 
 def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str) -> int:

@@ -277,6 +277,14 @@ def test_reduction_at_base_zero_exits_2(capsys):
     assert (code, err) == (2, "error: base must be >= 2, got 0\n")
 
 
+def test_afs_c_at_n_zero_exits_2(capsys):
+    # c(m, 0) = 1 lies outside the residue formula's range n >= 1
+    code, out, err = run(capsys, "verify", "--suite", "afs-c", "--base-range", "2..3",
+                         "--n-range", "0..3")
+    assert (code, out) == (2, "")
+    assert err == "error: defined for representations of positive integers only\n"
+
+
 @pytest.fixture
 def low_int_str_limit():
     """The interpreter's int -> str limit at its minimum, 640 digits."""

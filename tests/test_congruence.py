@@ -58,6 +58,9 @@ def test_afs_equals_formula_everywhere():
         for n in range(1, 2000):
             r = to_base(m, n)
             assert afs_c_mod(r).value == c_mod_formula(r).value
+        for form in (afs_c_mod, c_mod_formula):
+            with pytest.raises(ValueError, match="positive integers only"):
+                form(to_base(m, 0))
 
 
 def test_b_prediction_matches_exact_counts():

@@ -16,6 +16,7 @@ from mpart.counting import (
     count_c_poly,
     recurrence_table,
 )
+from mpart.kernels import chain
 from mpart.partitions import count_c_enum, enumerate_b, enumerate_c
 from mpart.radix import to_base
 
@@ -206,10 +207,11 @@ def test_table_routes_refuse_past_the_enumeration_budget(monkeypatch):
 
 
 def _prefix_shift_valid(m: int, alpha, chi) -> bool:
-    """Whether every inner sum's upper bound in count_c_poly stays >= its
-    lower bound - 1 over the ranges actually iterated, so prefix-sum
-    differences telescope.  With hi = alpha_t - 1 + m*k and k >= chi_{t+1}
-    this always holds (alpha_t = 0 forces chi_{t+1} = 1, so hi >= m - 1)."""
+    """Whether every inner sum's upper bound in the gap-free chain stays >=
+    its lower bound - 1 over the ranges actually iterated, so that counted
+    from zero every range has length >= 0.  With hi = alpha_t - 1 + m*k and
+    k >= chi_{t+1} this always holds (alpha_t = 0 forces chi_{t+1} = 1, so
+    hi >= m - 1)."""
     j = len(alpha) - 1
     for t in range(1, j):
         if alpha[t] - 1 + m * chi[t] < chi[t - 1] - 1:
@@ -218,11 +220,14 @@ def _prefix_shift_valid(m: int, alpha, chi) -> bool:
 
 
 def test_prefix_shift_validity_holds_everywhere():
-    # the telescoping guard for the polynomial route: exhaustive check
+    # the bound the polynomial level loop and the nested walker rely on:
+    # exhaustive check, on the digits and on the chain as derived
     for m in (2, 3, 4, 5, 7, 11):
         for n in range(1, 3000):
             r = to_base(m, n)
             assert _prefix_shift_valid(m, r.digits, chi_vector(r))
+            offsets, strata = chain(m, n, gapfree=True)
+            assert min((*offsets, *(top for _, top in strata)), default=-1) >= -1
 
 
 def test_argument_validation():

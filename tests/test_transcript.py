@@ -84,6 +84,16 @@ def _commands() -> list[tuple[dict[str, str], list[str]]]:
         "verify --suite churchhouse --k-range 1..3 --n-range 0..6",
         "verify --suite reduction --base-range 0..0 --n-range 0..1",
     ]
+    # zero digits make the gap-free chain's lower bounds 1 and its
+    # zero-based offsets -1
+    gapfree = [
+        f"count --kind c --base {m} --n {n} {how}"
+        for m, n in ((2, 10), (2, 37), (2, 300), (3, 30), (3, 91), (10, 1010),
+                     (10, 20301))
+        for how in ("--method nested", "--method poly", "--method enumerate", "--check")
+    ] + [
+        "verify --suite afs-c --base-range 2..3 --n-range 0..3",
+    ]
     tight = [
         f"count --kind {kind} --base 2 --n {n} {how}"
         for kind in "bc" for n in (100, 2000)
@@ -97,7 +107,7 @@ def _commands() -> list[tuple[dict[str, str], list[str]]]:
         "verify --suite oracle-c --base-range 2..3 --n-range 90..110",
         "verify --suite bijection --base-range 2..2 --n-range 1..60",
     ]
-    default = readme + counts + tables + phis + congruences + verifies
+    default = readme + counts + tables + phis + congruences + verifies + gapfree
     return ([({}, _split(line)) for line in default]
             + [(dict(TIGHT), _split(line)) for line in tight])
 
