@@ -104,13 +104,12 @@ def enumerate_members(m: int, n: int, budget: int | None = None) -> list[BetaSeq
     """Every sequence satisfying the chained bounds, in ascending
     lexicographic order on (beta_j, ..., beta_1), by bounded nested loops.
 
-    The budget is checked before the loops start by the nested-sum walker
-    (``kernels.nested_sum_b``), whose loops are exactly the ones run here:
-    it counts the sequences without materializing them, so the check
-    borrows nothing from the formulas the sequences are checked against."""
-    r = to_base(m, n)
-    alpha = r.digits
-    j = r.j
+    The budget is checked before any sequence is built by the nested-sum
+    walker (``kernels.nested_sum_b``), which counts the sequences without
+    materializing them, so the check borrows nothing from the formulas the
+    sequences are checked against; a second walk then builds them at its
+    leaves."""
+    j = to_base(m, n).j
     cap = enum_budget(budget)
     if j == 0:
         return [BetaSeq(m, n, ())]
@@ -120,15 +119,5 @@ def enumerate_members(m: int, n: int, budget: int | None = None) -> list[BetaSeq
         raise EnumerationBudgetExceeded(
             f"more than {shown(cap)} sequences for n={shown(n)} in base {shown(m)}") from None
     out: list[BetaSeq] = []
-    buf = [0] * j
-
-    def walk(t: int, bound: int) -> None:
-        for beta in range(bound + 1):
-            buf[t - 1] = beta
-            if t == 1:
-                out.append(BetaSeq(m, n, tuple(buf)))
-            else:
-                walk(t - 1, alpha[t - 1] + m * beta)
-
-    walk(j, alpha[j])
+    kernels.nested_sum_b(m, n, cap, lambda ks: out.append(BetaSeq(m, n, tuple(ks[:j]))))
     return out

@@ -35,16 +35,27 @@ class LoopBudgetExceeded(BudgetExceeded):
     """The literal nested summation would run more innermost steps than allowed."""
 
 
-def enum_budget(override: int | None = None) -> int:
+def _budget(variable: str, default: int, override: int | None) -> int:
+    """The override, else the variable's value, else the default; a value
+    that is not a nonnegative integer raises ValueError naming the variable."""
     if override is not None:
         return override
-    return int(os.environ.get(ENUM_BUDGET_ENV, DEFAULT_ENUM_BUDGET))
+    text = os.environ.get(variable)
+    try:
+        value = default if text is None else int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{variable} must be a nonnegative integer, got {text!r}")
+    return value
+
+
+def enum_budget(override: int | None = None) -> int:
+    return _budget(ENUM_BUDGET_ENV, DEFAULT_ENUM_BUDGET, override)
 
 
 def loop_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get(LOOP_BUDGET_ENV, DEFAULT_LOOP_BUDGET))
+    return _budget(LOOP_BUDGET_ENV, DEFAULT_LOOP_BUDGET, override)
 
 
 def shown(value: int) -> str:

@@ -17,19 +17,22 @@ the nested sums; for the partition walks, which recurse over part
 multiplicities, the choice of lambda_1, with lambda_0 taking the rest.
 Steps are counted one per leaf, so the step total equals the count.
 
+The walks are also the enumerations' only loops: given ``leaf``, a walk
+iterates the innermost range too, after its step check, and calls
+leaf(buffer) at each leaf with the loop variables in one buffer rewritten
+in place, ``ks`` (ks[t-1] = k_t) or ``mults`` (mults[t] = lambda_t).
+
 The two nested sums share one chained recursion over the chain that
 ``chain`` derives: b's single chain, or the gap-free strata counted from
 zero, which puts them in the same shape.
 
 The two partition walks share one multiplicity recursion: the gap-free
-walk runs it once per stratum of ``gapfree_strata``, largest part first,
-each stratum with the budget the ones before it left, so it too raises
-exactly when its total passes ``cap``.
+walk runs it once per stratum, largest part first, each stratum with the
+budget the ones before it left, so it too raises exactly when its total
+passes ``cap``.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, shown
 from .radix import chi_vector, to_base
@@ -59,9 +62,11 @@ def chain(m: int, n: int, gapfree: bool) -> tuple[tuple[int, ...], tuple[tuple[i
     return offsets, tuple((s, n // m**s - 1 - chi[s]) for s in range(r.j, 0, -1))
 
 
-def _chain_walk(m: int, offsets, strata, cap: int, refusal: str) -> int:
+def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, leaf=None) -> int:
     """Leaf count of the chained loops of ``chain``, raising
-    LoopBudgetExceeded(refusal) once it passes cap."""
+    LoopBudgetExceeded(refusal) once it passes cap; leaves come in ascending
+    lexicographic order on (k_r, ..., k_1)."""
+    ks = [0] * len(offsets)
     steps = 0
 
     def walk(t: int, bound: int) -> int:
@@ -70,22 +75,29 @@ def _chain_walk(m: int, offsets, strata, cap: int, refusal: str) -> int:
             steps += bound + 1
             if steps > cap:
                 raise LoopBudgetExceeded(refusal)
+            if leaf is not None:
+                for k in range(bound + 1):
+                    ks[0] = k
+                    leaf(ks)
             return bound + 1
         total = 0
+        offset = offsets[t - 1]
         for k in range(bound + 1):
-            total += walk(t - 1, offsets[t - 1] + m * k)
+            ks[t - 1] = k
+            total += walk(t - 1, offset + m * k)
         return total
 
     return sum(walk(r, top) for r, top in strata)
 
 
-def nested_sum_b(m: int, n: int, cap: int) -> int:
+def nested_sum_b(m: int, n: int, cap: int, leaf=None) -> int:
     """b(m, n) as the leaf count of the chained loops k_j..k_1 with upper
-    bounds alpha_j and alpha_t + m*k_{t+1} over the base-m digits of n."""
+    bounds alpha_j and alpha_t + m*k_{t+1} over the base-m digits of n.
+    ``leaf`` sees ks with j + 1 entries, of which ks[:j] are the loop's."""
     refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
     if n // m + 1 > cap:
         raise LoopBudgetExceeded(refusal)
-    return _chain_walk(m, *chain(m, n, gapfree=False), cap, refusal)
+    return _chain_walk(m, *chain(m, n, gapfree=False), cap, refusal, leaf)
 
 
 def nested_sum_c(m: int, n: int, cap: int) -> int:
@@ -97,62 +109,68 @@ def nested_sum_c(m: int, n: int, cap: int) -> int:
     return _chain_walk(m, *chain(m, n, gapfree=True), cap, refusal)
 
 
-def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str) -> int:
+def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, leaf=None) -> int:
     """Number of partitions of n into parts m**0..m**top by the multiplicity
-    recursion, raising EnumerationBudgetExceeded(refusal) once it passes cap."""
+    recursion, raising EnumerationBudgetExceeded(refusal) once it passes cap;
+    leaves come in descending lexicographic order on (lambda_top, ...,
+    lambda_0)."""
     powers = [m**t for t in range(top + 1)]
+    mults = [0] * (top + 1)
     steps = 0
 
     def walk(t: int, rem: int) -> int:
         nonlocal steps
         if t <= 1:
-            # lambda_1 runs over 0..rem//m; t = 0 only for top = 0
+            # lambda_1 runs over rem//m..0 and lambda_0 takes the rest; t = 0
+            # only for top = 0, whose one leaf is lambda_0 = rem
             count = rem // m + 1 if t else 1
             steps += count
             if steps > cap:
                 raise EnumerationBudgetExceeded(refusal)
+            if leaf is not None:
+                for lam in range(count - 1, -1, -1):
+                    mults[t] = lam
+                    mults[0] = rem - lam * m
+                    leaf(mults)
             return count
         total = 0
-        for lam in range(rem // powers[t], -1, -1):
-            total += walk(t - 1, rem - lam * powers[t])
+        power = powers[t]
+        for lam in range(rem // power, -1, -1):
+            mults[t] = lam
+            total += walk(t - 1, rem - lam * power)
         return total
 
     return walk(top, n)
 
 
-def gapfree_strata(m: int, n: int) -> Iterator[tuple[int, int]]:
-    """(r, rest) for r = j, j-1, ..., 0 wherever rest = n - (1 + m + ... +
-    m**r) >= 0: the gap-free partitions of n with largest part m**r are one
-    part of each size m**0..m**r plus any partition of rest into those
-    parts.  Largest part first, so the deepest walk starts first."""
-    for r in range(to_base(m, n).j, -1, -1):
-        rest = n - (m ** (r + 1) - 1) // (m - 1)
-        if rest >= 0:
-            yield r, rest
-
-
-def walk_partitions(m: int, n: int, cap: int) -> int:
-    """Number of m-ary partitions of n by direct multiplicity recursion."""
+def walk_partitions(m: int, n: int, cap: int, leaf=None) -> int:
+    """Number of m-ary partitions of n by direct multiplicity recursion.
+    ``leaf`` sees mults with j + 1 entries."""
     j = to_base(m, n).j
     refusal = f"more than {shown(cap)} partitions of {shown(n)} in base {shown(m)}"
     if n // m + 1 > cap:
         raise EnumerationBudgetExceeded(refusal)
-    return _multiplicity_walk(m, n, j, cap, refusal)
+    return _multiplicity_walk(m, n, j, cap, refusal, leaf)
 
 
-def walk_gapfree(m: int, n: int, cap: int) -> int:
+def walk_gapfree(m: int, n: int, cap: int, leaf=None) -> int:
     """Number of gap-free m-ary partitions of n: the plain multiplicity walk
-    summed over ``gapfree_strata``, each stratum with the budget the ones
-    before it left."""
-    to_base(m, n)  # rejects m < 2 and n < 0 before the floor divides by m
+    summed over the strata r = j..0, deepest walk first, each with the
+    budget the ones before it left.  Those with largest part m**r are one
+    part of each size m**0..m**r plus a partition of rest = n - (1 + m +
+    ... + m**r) >= 0 into those parts, which ``leaf`` sees as mults with
+    r + 1 entries: the gap-free partition is each entry plus one."""
+    j = to_base(m, n).j  # rejects m < 2 and n < 0 before the floor divides by m
     refusal = f"more than {shown(cap)} gap-free partitions of {shown(n)} in base {shown(m)}"
     # the all-ones partition and those with k >= 1 parts m and at least one
     # part 1 number (n-1)//m + 1
     if (n - 1) // m + 1 > cap:
         raise EnumerationBudgetExceeded(refusal)
     if n == 0:  # the empty partition, in no stratum, is also the only plain one
-        return _multiplicity_walk(m, 0, 0, cap, refusal)
+        return _multiplicity_walk(m, 0, 0, cap, refusal, leaf)
     total = 0
-    for r, rest in gapfree_strata(m, n):
-        total += _multiplicity_walk(m, rest, r, cap - total, refusal)
+    for r in range(j, -1, -1):
+        rest = n - (m ** (r + 1) - 1) // (m - 1)
+        if rest >= 0:
+            total += _multiplicity_walk(m, rest, r, cap - total, refusal, leaf)
     return total

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import enum_budget
-from .radix import to_base
 from . import kernels
 
 
@@ -72,67 +71,49 @@ def is_gap_free(p: MaryPartition) -> bool:
     return all(lam > 0 for lam in p.mults)
 
 
-def _materialise(m: int, n: int, top: int, lift: int, out: list[MaryPartition]) -> None:
-    """Append every partition of n into parts m**0..m**top to out, each
-    multiplicity raised by lift, in descending lexicographic order on the
-    multiplicity tuple read largest exponent first."""
-    powers = [m**t for t in range(top + 1)]
-    mults = [lift] * (top + 1)
-
-    def walk(t: int, rem: int) -> None:
-        if t == 0:
-            mults[0] = rem + lift
-            out.append(MaryPartition.from_mults(m, mults))
-            return
-        # the loop ends at lam = 0, which leaves mults[t] = lift
-        for lam in range(rem // powers[t], -1, -1):
-            mults[t] = lam + lift
-            walk(t - 1, rem - lam * powers[t])
-
-    walk(top, n)
-
-
 def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition]:
     """All m-ary partitions of n, in descending lexicographic order on the
     multiplicity tuple read largest exponent first (padded to the top
     exponent of n).
 
-    Raises EnumerationBudgetExceeded before the walk when b(m, n) exceeds
-    the budget, as counted by its own walk without materializing
-    (``kernels.walk_partitions``, whose leaves are exactly the partitions
-    materialized here); formula-based counting should be used instead.
+    Raises EnumerationBudgetExceeded before any partition is built when
+    b(m, n) exceeds the budget, as counted by ``kernels.walk_partitions``;
+    formula-based counting should be used instead.  A second walk of the
+    same walker then builds the partitions at its leaves.
     """
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    kernels.walk_partitions(m, n, enum_budget(budget))
+    cap = enum_budget(budget)
+    kernels.walk_partitions(m, n, cap)
     out: list[MaryPartition] = []
-    _materialise(m, n, to_base(m, n).j, 0, out)
+    kernels.walk_partitions(m, n, cap, lambda mults: out.append(
+        MaryPartition.from_mults(m, mults)))
     return out
 
 
 def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition]:
     """The gap-free subset of enumerate_b(m, n), in the same order.
 
-    Generated directly, stratum by stratum of ``kernels.gapfree_strata``:
+    Generated directly, stratum by stratum of ``kernels.walk_gapfree``:
     the partitions with largest part m**r are those of the rest into parts
     m**0..m**r with every multiplicity raised by one.  Largest part first,
     that is enumerate_b's order.
 
-    Raises EnumerationBudgetExceeded before the walk when c(m, n) exceeds
-    the budget, as counted by its own walk without materializing
-    (``kernels.walk_gapfree``, whose leaves are exactly the partitions
-    materialized here).
+    Raises EnumerationBudgetExceeded before any partition is built when
+    c(m, n) exceeds the budget, as counted by ``kernels.walk_gapfree``; a
+    second walk of the same walker then builds the partitions at its leaves.
     """
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    kernels.walk_gapfree(m, n, enum_budget(budget))
+    cap = enum_budget(budget)
+    kernels.walk_gapfree(m, n, cap)
     out: list[MaryPartition] = []
-    for r, rest in kernels.gapfree_strata(m, n):
-        _materialise(m, rest, r, 1, out)
+    kernels.walk_gapfree(m, n, cap, lambda mults: out.append(
+        MaryPartition(m, tuple(lam + 1 for lam in mults))))
     return out
 
 

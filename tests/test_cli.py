@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from mpart import congruence, counting
+from mpart import bijection, cli, congruence, counting
 from mpart.cli import main
 from mpart.counting import count_b_poly
+from mpart.partitions import MaryPartition
 from mpart.radix import to_base
 
 GOLDEN = Path(__file__).parent / "golden" / "table_4_36.tsv"
@@ -59,6 +60,17 @@ def test_count_budget_exceeded(capsys, monkeypatch):
                        "--n", "600", "--method", "nested")
     assert code == 2
     assert "--method poly" in err
+
+
+@pytest.mark.parametrize("text", ["1e6", "abc", "-5"])
+@pytest.mark.parametrize("variable", ["MPART_ENUM_BUDGET", "MPART_LOOP_BUDGET"])
+def test_malformed_budget_exits_2_naming_the_variable(capsys, monkeypatch, variable, text):
+    monkeypatch.setenv(variable, text)
+    method = "enumerate" if variable == "MPART_ENUM_BUDGET" else "nested"
+    code, out, err = run(capsys, "count", "--kind", "b", "--base", "2", "--n", "10",
+                         "--method", method)
+    assert (code, out) == (2, "")
+    assert err == f"error: {variable} must be a nonnegative integer, got '{text}'\n"
 
 
 @pytest.mark.parametrize("method", ["recurrence", "gf"])
@@ -337,16 +349,23 @@ def _zero_afs_c_mod(r):
     return congruence.Residue(0, r.m)
 
 
-def _failure_lines(suite, records, cases):
+def _one_more_each(m, upto):
+    """A wrong generating-function table: every entry one too many."""
+    return [b + 1 for b in counting.recurrence_table(m, upto)]
+
+
+def _failure_lines(suite, records, cases, **extra):
     lines = [json.dumps({"m": m, "n": n, "suite": suite,
-                         "expected": expected, "actual": actual})
+                         "expected": expected, "actual": actual, **extra})
              for m, n, expected, actual in records]
     summary = {"suite": suite, "cases_run": cases, "failures": len(records), "skipped": 0}
     return "\n".join(lines + [json.dumps(summary)]) + "\n"
 
 
 # (module, attribute, replacement, argv, stdout); every case exits 1.  The
-# pinned lines fix which side each check records as expected and actual.
+# pinned lines fix which side each check records as expected and actual, and
+# which record each check writes.  cli imports enumerate_members, phi and
+# phi_inv by name, so those are replaced on cli.
 WRONG_SIDE_CASES = {
     "verify-afs-b": (
         counting, "count_b_poly", _quotient_count,
@@ -393,6 +412,69 @@ WRONG_SIDE_CASES = {
         congruence, "afs_c_mod", _zero_afs_c_mod,
         ["congruence", "--property", "afs-c-ell", "--base", "5", "--n", "487"],
         "predicted=0 actual=1 FAIL\n",
+    ),
+    "verify-oracle-b-gf": (
+        counting, "count_b_gf", _one_more_each,
+        ["verify", "--suite", "oracle-b", "--base-range", "2..3", "--n-range", "1..3"],
+        _failure_lines("oracle-b", [(2, 1, "1", "2"), (2, 2, "2", "3"), (2, 3, "2", "3"),
+                                    (3, 1, "1", "2"), (3, 2, "1", "2"), (3, 3, "2", "3")],
+                       6, method="gf"),
+    ),
+    "verify-oracle-b-nested": (
+        counting, "count_b_nested", _quotient_count,
+        ["verify", "--suite", "oracle-b", "--base-range", "2..3", "--n-range", "1..3"],
+        _failure_lines("oracle-b", [(2, 1, "1", "0"), (2, 2, "2", "1"), (2, 3, "2", "1"),
+                                    (3, 1, "1", "0"), (3, 2, "1", "0"), (3, 3, "2", "1")],
+                       6, method="nested"),
+    ),
+    "verify-oracle-c-poly": (
+        counting, "count_c_poly", _quotient_count,
+        ["verify", "--suite", "oracle-c", "--base-range", "2..3", "--n-range", "1..3"],
+        _failure_lines("oracle-c", [(2, 1, "1", "0"), (2, 3, "2", "1"),
+                                    (3, 1, "1", "0"), (3, 2, "1", "0")],
+                       6, method="poly"),
+    ),
+    "verify-oracle-c-nested": (
+        counting, "count_c_nested", _quotient_count,
+        ["verify", "--suite", "oracle-c", "--base-range", "2..3", "--n-range", "1..3"],
+        _failure_lines("oracle-c", [(2, 1, "1", "0"), (2, 3, "2", "1"),
+                                    (3, 1, "1", "0"), (3, 2, "1", "0")],
+                       6, method="nested"),
+    ),
+    "verify-bijection-cardinality": (
+        cli, "enumerate_members", lambda m, n: bijection.enumerate_members(m, n)[1:],
+        ["verify", "--suite", "bijection", "--base-range", "2..2", "--n-range", "1..4"],
+        _failure_lines("bijection", [(2, 1, "0", "1"), (2, 2, "1", "2"), (2, 3, "1", "2"),
+                                     (2, 4, "3", "4")], 4, method="cardinality"),
+    ),
+    "verify-bijection-image": (
+        cli, "enumerate_members", lambda m, n: bijection.enumerate_members(m, n)[::-1],
+        ["verify", "--suite", "bijection", "--base-range", "2..2", "--n-range", "1..4"],
+        _failure_lines("bijection", [(2, n, "image == member set", "mismatch")
+                                     for n in (2, 3, 4)], 4, method="image"),
+    ),
+    "verify-bijection-round-trip": (
+        cli, "phi_inv", lambda b: MaryPartition(b.m, (b.n,)),
+        ["verify", "--suite", "bijection", "--base-range", "2..2", "--n-range", "1..4"],
+        _failure_lines("bijection", [(2, 2, "0", "1"), (2, 3, "0", "1"), (2, 4, "0", "3")],
+                       4, method="round-trip"),
+    ),
+    "verify-churchhouse-first": (
+        congruence, "churchhouse_check", lambda k, n: (False, True),
+        ["verify", "--suite", "churchhouse", "--n-range", "1..2", "--k-range", "1..1"],
+        _failure_lines("churchhouse", [(2, 1, "0", "nonzero"), (2, 2, "0", "nonzero")],
+                       2, k=1, form="first"),
+    ),
+    "verify-churchhouse-second": (
+        congruence, "churchhouse_check", lambda k, n: (True, False),
+        ["verify", "--suite", "churchhouse", "--n-range", "1..2", "--k-range", "1..1"],
+        _failure_lines("churchhouse", [(2, 1, "0", "nonzero"), (2, 2, "0", "nonzero")],
+                       2, k=1, form="second"),
+    ),
+    "count-check-disagreement": (
+        counting, "count_b_poly", _quotient_count,
+        ["count", "--kind", "b", "--base", "3", "--n", "10", "--check"],
+        "nested 5\npoly 3\nrecurrence 5\ngf 5\nenumerate 5\n",
     ),
 }
 

@@ -103,6 +103,10 @@ def test_walkers_refuse_exactly_when_the_count_exceeds_the_cap():
                             walk(m, n, cap)
                     else:
                         assert walk(m, n, cap) == count
+        # n = 0: the empty partition alone, in no gap-free stratum
+        assert kernels.walk_gapfree(m, 0, 1) == kernels.walk_gapfree(m, 0, 10**9) == 1
+        with pytest.raises(EnumerationBudgetExceeded):
+            kernels.walk_gapfree(m, 0, 0)
 
 
 def test_partition_walkers_refuse_n_deeper_than_the_recursion_limit():

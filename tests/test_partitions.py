@@ -127,6 +127,11 @@ def test_zero_and_negative_n():
         enumerate_b(5, 0)
     with pytest.raises(ValueError):
         count_b_enum(5, -1)
+    for m in (-1, 0, 1):
+        for n in (0, 5):
+            for call in (enumerate_b, enumerate_c, count_b_enum, count_c_enum):
+                with pytest.raises(ValueError, match="base must be >= 2"):
+                    call(m, n)
 
 
 def test_enumerate_b_checks_its_budget_before_the_walk():
