@@ -111,8 +111,6 @@ def enumerate_members(m: int, n: int, budget: int | None = None) -> list[BetaSeq
     leaves."""
     j = to_base(m, n).j
     cap = enum_budget(budget)
-    if j == 0:
-        return [BetaSeq(m, n, ())]
     try:
         kernels.nested_sum_b(m, n, cap)
     except LoopBudgetExceeded:

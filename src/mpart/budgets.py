@@ -35,18 +35,36 @@ class LoopBudgetExceeded(BudgetExceeded):
     """The literal nested summation would run more innermost steps than allowed."""
 
 
+def _decimal(text: str) -> int:
+    """int(text), and also a run of ASCII digits longer than the
+    interpreter's int <-> str digit limit, read in chunks of 600 digits,
+    below the smallest limit the interpreter accepts (640)."""
+    try:
+        return int(text)
+    except ValueError:
+        if not (text.isascii() and text.isdigit()):
+            raise
+    value = 0
+    for start in range(0, len(text), 600):
+        chunk = text[start:start + 600]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def _budget(variable: str, default: int, override: int | None) -> int:
     """The override, else the variable's value, else the default; a value
-    that is not a nonnegative integer raises ValueError naming the variable."""
+    that is not a nonnegative integer raises ValueError naming the variable
+    and showing the value, its first 40 characters and length if longer."""
     if override is not None:
         return override
     text = os.environ.get(variable)
     try:
-        value = default if text is None else int(text)
+        value = default if text is None else _decimal(text)
     except ValueError:
         value = -1
     if value < 0:
-        raise ValueError(f"{variable} must be a nonnegative integer, got {text!r}")
+        got = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"{variable} must be a nonnegative integer, got {got}")
     return value
 
 

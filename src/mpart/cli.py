@@ -48,20 +48,21 @@ def _afs_equiv(m: int, n: int) -> tuple[int, int]:
 
 
 def _reduction(m: int, n: int) -> tuple[int, int]:
-    actual = counting.count_c_poly(m, m**3 * n) % m
-    return counting.count_c_poly(m, m * n) % m, actual
+    actual = counting.count_c_poly(m, m**3 * n, modulus=m)
+    return counting.count_c_poly(m, m * n, modulus=m), actual
 
 
 # property -> (expected, actual) residues mod m at (m, n): afs-b, afs-c and
 # afs-c-ell predict b or c at m*n; afs-equiv sets the two c forms against each
-# other; reduction sets c(m^3 n) against c(m n)
+# other; reduction sets c(m^3 n) against c(m n).  Counts are taken mod m by
+# the poly route's level loop, never in full.
 RESIDUES = {
     "afs-b": lambda m, n: (congruence.b_mod_product(to_base(m, n)).value,
-                           counting.count_b_poly(m, m * n) % m),
+                           counting.count_b_poly(m, m * n, modulus=m)),
     "afs-c": lambda m, n: (congruence.c_mod_formula(to_base(m, n)).value,
-                           counting.count_c_poly(m, m * n) % m),
+                           counting.count_c_poly(m, m * n, modulus=m)),
     "afs-c-ell": lambda m, n: (congruence.afs_c_mod(to_base(m, n)).value,
-                               counting.count_c_poly(m, m * n) % m),
+                               counting.count_c_poly(m, m * n, modulus=m)),
     "afs-equiv": _afs_equiv,
     "reduction": _reduction,
 }

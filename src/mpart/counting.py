@@ -14,6 +14,9 @@ independent ways:
 c(m, n), the number of gap-free partitions (every power below the largest
 part occurs), is computed by literal summation and by the polynomial route;
 the partitions module counts both families by brute-force enumeration.
+Given a modulus, both polynomial routes return the count's residue from
+the same level loop reduced mod it, which is what the congruence checks
+take.
 
 Counts at n = 0 are defined as 1 (the empty partition) throughout.
 """
@@ -65,11 +68,21 @@ def count_b_gf(m: int, upto: int) -> list[int]:
     return coeffs
 
 
-def _chain_total(m: int, offsets, strata) -> int:
+def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
     """The vector count of a ``kernels.chain``, collapsed level by level:
     h_0 = 1, S_t is the prefix sum of h_{t-1}, and h_t(k) = S_t(offsets[t]
     + m*k), each level one prefix sum plus one affine substitution in the
-    binomial basis; stratum (r, top) adds S_r(top), with S_r(-1) = 0."""
+    binomial basis; stratum (r, top) adds S_r(top), with S_r(-1) = 0.
+
+    With ``modulus`` M the count comes back mod M.  The prefix sum, the
+    substitution (a shift by Pascal additions and an integer table T) and
+    the evaluation at an integer (every C(x, i) is an integer) are all
+    integer-linear in the coefficients, so reducing each h_t mod M after
+    its substitution leaves the result's residue exact.  The reduced top
+    coefficients that vanish are dropped, so for M a power of m the degree
+    collapses and the levels stay small."""
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
     tops = dict(strata)
     depth = max(tops, default=0)
     total = 0
@@ -80,16 +93,20 @@ def _chain_total(m: int, offsets, strata) -> int:
             total += s.eval(tops[t])
         if t < depth:
             h = s.compose_affine(m, offsets[t])
-    return total
+            if modulus is not None:
+                h = IntPolynomial.from_coeffs([c % modulus for c in h.coeffs])
+    return total if modulus is None else total % modulus
 
 
-def count_b_poly(m: int, n: int) -> int:
+def count_b_poly(m: int, n: int, modulus: int | None = None) -> int:
     """Chained summation over the digit bounds, collapsed level by level:
     g_0 = 1, g_t(k) = sum of g_{t-1} over [0, alpha_t + m*k], and b(m, n)
-    the sum of g_{j-1} over [0, alpha_j]: the one stratum of its chain."""
+    the sum of g_{j-1} over [0, alpha_j]: the one stratum of its chain.
+    With ``modulus`` M it returns b(m, n) mod M exactly, each level reduced
+    mod M (see ``_chain_total``), which is all a congruence check needs."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _chain_total(m, *kernels.chain(m, n, gapfree=False))
+    return _chain_total(m, *kernels.chain(m, n, gapfree=False), modulus)
 
 
 def b_estimate(m: int, n: int, cap: int) -> int:
@@ -127,13 +144,16 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
     return kernels.nested_sum_b(m, n, cap)
 
 
-def count_c_poly(m: int, n: int) -> int:
+def count_c_poly(m: int, n: int, modulus: int | None = None) -> int:
     """Gap-free count: 1 (the all-ones partition) plus the strata of
     ``kernels.chain``, counted from zero and collapsed by the level loop of
-    ``count_b_poly``, each level built once for every stratum."""
+    ``count_b_poly``, each level built once for every stratum.  With
+    ``modulus`` M it returns c(m, n) mod M exactly, as ``count_b_poly``
+    does."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return 1 + _chain_total(m, *kernels.chain(m, n, gapfree=True))
+    total = _chain_total(m, *kernels.chain(m, n, gapfree=True), modulus)
+    return 1 + total if modulus is None else (1 + total) % modulus
 
 
 def count_c_nested(m: int, n: int, budget: int | None = None) -> int:

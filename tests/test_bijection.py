@@ -149,6 +149,18 @@ def test_enumerate_members_checks_its_budget_before_the_walk():
         assert time.perf_counter() - start < 1.0
 
 
+def test_enumerate_members_checks_its_budget_below_the_base():
+    # n < m has the one empty sequence, and it is counted like any other
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        enumerate_members(3, 2, budget=0)
+    assert str(info.value) == "more than 0 sequences for n=2 in base 3"
+    with pytest.raises(EnumerationBudgetExceeded):
+        enumerate_b(3, 2, budget=0)
+    assert enumerate_members(3, 2, budget=1) == [BetaSeq(3, 2, ())]
+    with pytest.raises(ValueError, match="n must be positive, got 0"):
+        enumerate_members(3, 0)
+
+
 def test_enumerate_members_borrows_nothing_from_the_formulas(monkeypatch):
     # the sequences are checked against count_b_poly elsewhere, so neither
     # their enumeration nor its budget check may go through it

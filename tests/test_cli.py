@@ -222,6 +222,25 @@ def test_congruence_churchhouse_large_k(capsys):
     assert (code, out) == (0, "first=PASS second=PASS\n")
 
 
+# residue checks at sizes where a full count would take hours: each takes
+# its counts mod m or mod 2**(3k+2) and must answer within a second
+SCALE_GATES = {
+    "churchhouse-k-300": ["congruence", "--property", "churchhouse", "--base", "2",
+                          "--n", "201", "--k", "300"],
+    **{f"verify-{suite}-2^1100": ["verify", "--suite", suite, "--base-range", "2..2",
+                                  "--n-range", f"{2**1100}..{2**1100 + 9}"]
+       for suite in ("afs-b", "afs-c", "reduction")},
+}
+
+
+@pytest.mark.parametrize("gate", sorted(SCALE_GATES))
+def test_residue_checks_answer_at_scale_within_a_second(capsys, gate):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *SCALE_GATES[gate])
+    assert (code, err) == (0, "")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_congruence_churchhouse_wrong_base(capsys):
     code, _, err = run(capsys, "congruence", "--property", "churchhouse",
                        "--base", "3", "--n", "3")
@@ -340,9 +359,10 @@ def test_verify_failure_json_past_the_int_str_limit(capsys, monkeypatch, low_int
     assert summary["failures"] == 1
 
 
-def _quotient_count(m, x):
-    """A wrong count whose residues are easy to predict: x // m."""
-    return x // m
+def _quotient_count(m, x, modulus=None):
+    """A wrong count whose residues are easy to predict: x // m, reduced
+    mod ``modulus`` when the caller asks for a residue."""
+    return x // m if modulus is None else x // m % modulus
 
 
 def _zero_afs_c_mod(r):

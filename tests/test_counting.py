@@ -71,6 +71,22 @@ def test_poly_matches_recurrence_property(m, n):
     assert count_b_poly(m, n) == recurrence_table(m, n)[n]
 
 
+@settings(deadline=None, max_examples=1000)
+@given(st.data())
+def test_residue_route_equals_the_exact_count_mod_m(data):
+    # every residue check reduces the level loop mod M; the residue must be
+    # the exact count's, for the moduli the checks use
+    m = data.draw(st.integers(2, 10), label="m")
+    n = data.draw(st.one_of(st.integers(0, 2000), st.integers(0, m**40)), label="n")
+    k = data.draw(st.integers(1, 40), label="k")
+    b, c = count_b_poly(m, n), count_c_poly(m, n)
+    for modulus in (m, m**2, m**4, 2 ** (3 * k + 2)):
+        assert count_b_poly(m, n, modulus) == b % modulus
+        assert count_c_poly(m, n, modulus) == c % modulus
+        if n <= 2000:  # a route that does not run the level loop
+            assert count_b_poly(m, n, modulus) == recurrence_table(m, n)[n] % modulus
+
+
 # (digit count, SHA-256 of the decimal) of b and c, computed with an
 # independent substitution: interpolation from d+1 point values
 PINNED = {
@@ -237,6 +253,10 @@ def test_argument_validation():
         recurrence_table(1, 10)
     with pytest.raises(ValueError):
         count_b_gf(2, -1)
+    for count in (count_b_poly, count_c_poly):
+        for modulus in (0, -3):
+            with pytest.raises(ValueError, match=f"modulus must be positive, got {modulus}"):
+                count(3, 100, modulus)
 
 
 def test_every_formula_route_checks_the_base_at_n_zero():

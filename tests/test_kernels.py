@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpart import bijection, counting, kernels, partitions
+from mpart import bijection, budgets, counting, kernels, partitions
 from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, TableBudgetExceeded
 from mpart.counting import count_c_poly, recurrence_table
 
@@ -188,3 +188,16 @@ def test_walk_partitions_matches_recurrence_property(m, n):
             kernels.walk_gapfree(m, n, 10**6)
     else:
         assert kernels.walk_gapfree(m, n, 10**6) == c
+
+
+def test_budget_variable_past_the_int_str_limit(monkeypatch, default_int_str_limit):
+    # a budget longer than the digit limit is still a number, and a malformed
+    # one that long is shown by its start and length
+    monkeypatch.setenv("MPART_ENUM_BUDGET", "1" + "0" * 5000)
+    assert budgets.enum_budget() == 10**5000
+    assert partitions.count_b_enum(3, 20) == recurrence_table(3, 20)[20]
+    monkeypatch.setenv("MPART_ENUM_BUDGET", "1" * 5000 + "x")
+    with pytest.raises(ValueError) as info:
+        partitions.count_b_enum(3, 20)
+    assert str(info.value) == ("MPART_ENUM_BUDGET must be a nonnegative integer, got '"
+                               + "1" * 40 + "'... (5001 characters)")
