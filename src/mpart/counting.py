@@ -4,9 +4,11 @@ b(m, n), the number of partitions of n into powers of m, is computed four
 independent ways:
 
   * ``count_b_nested``     -- literal chained summation over the digit bounds;
-  * ``count_b_poly``       -- the same sum collapsed level by level into an
-                              integer-valued polynomial; its time grows
-                              about as j**3.6 in the digit count j;
+  * ``count_b_poly``       -- the same sum collapsed level by level into
+                              integer-valued polynomials and met in the
+                              middle: the lower levels run bottom-up, the
+                              upper ones top-down through the transposed
+                              level maps (``_chain_total``);
   * ``count_b_recurrence`` -- the coefficient recurrence
                               b(n) = b(n-1) + [m | n] * b(n/m);
   * ``count_b_gf``         -- coefficients of prod_k 1/(1 - q**(m**k)).
@@ -16,15 +18,23 @@ part occurs), is computed by literal summation and by the polynomial route;
 the partitions module counts both families by brute-force enumeration.
 Given a modulus, both polynomial routes return the count's residue from
 the same level loop reduced mod it, which is what the congruence checks
-take.
+take; the reduction shrinks the levels from the bottom up, so that loop
+runs bottom-up all the way.
 
 Counts at n = 0 are defined as 1 (the empty partition) throughout.
 """
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from .budgets import LoopBudgetExceeded, TableBudgetExceeded, enum_budget, loop_budget, shown
-from .polysum import IntPolynomial
+from .polysum import (
+    IntPolynomial,
+    compose_affine_transposed,
+    evaluation_covector,
+    prefix_sum_transposed,
+)
 from .radix import chi_vector, to_base  # chi_vector stays importable from here
 from . import kernels
 
@@ -74,28 +84,50 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
     + m*k), each level one prefix sum plus one affine substitution in the
     binomial basis; stratum (r, top) adds S_r(top), with S_r(-1) = 0.
 
+    Every level map and every stratum's evaluation is linear in the
+    coefficients, so the loop meets in the middle, at the split level
+    t* = round(0.6 * depth).  Levels 1..t* run bottom-up as above, with the
+    strata r <= t*.  Above the split the loop runs transposed, top-down, on
+    a covector w_t whose dot product with S_t is the sum of the strata
+    r >= t: w_depth = (C(top_depth, i))_i, and w_{t-1} is w_t carried
+    through the transposed prefix sum and substitution (``polysum``), plus
+    (C(top_{t-1}, i))_i for a stratum t - 1 > t*.  One dot product of the
+    covector at level t* with S_{t*} joins the halves.  The coefficients
+    of S_t grow with t and the covector's entries with depth - t, so each
+    half runs where its numbers are small.
+
     With ``modulus`` M the count comes back mod M.  The prefix sum, the
     substitution (a shift by Pascal additions and an integer table T) and
     the evaluation at an integer (every C(x, i) is an integer) are all
     integer-linear in the coefficients, so reducing each h_t mod M after
     its substitution leaves the result's residue exact.  The reduced top
     coefficients that vanish are dropped, so for M a power of m the degree
-    collapses and the levels stay small."""
+    collapses and the levels stay small.  That collapse is a bottom-up
+    effect, so with a modulus the split is at the top: the whole loop runs
+    bottom-up."""
     if modulus is not None and modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
     tops = dict(strata)
     depth = max(tops, default=0)
+    split = depth if modulus is not None else (6 * depth + 5) // 10  # round(0.6 * depth)
     total = 0
     h = IntPolynomial.constant(1)
-    for t in range(1, depth + 1):
+    for t in range(1, split + 1):
         s = h.prefix_sum()
         if t in tops:
             total += s.eval(tops[t])
-        if t < depth:
+        if t < split:
             h = s.compose_affine(m, offsets[t])
             if modulus is not None:
                 h = IntPolynomial.from_coeffs([c % modulus for c in h.coeffs])
-    return total if modulus is None else total % modulus
+    if split == depth:
+        return total if modulus is None else total % modulus
+    w = evaluation_covector(tops[depth], depth)
+    for t in range(depth, split, -1):
+        w = compose_affine_transposed(prefix_sum_transposed(w), m, offsets[t - 1])
+        if t - 1 > split and t - 1 in tops:
+            w = list(map(add, w, evaluation_covector(tops[t - 1], t - 1)))
+    return total + sum(map(mul, w, s.coeffs))
 
 
 def count_b_poly(m: int, n: int, modulus: int | None = None) -> int:

@@ -12,6 +12,12 @@ bounded range sums -- all stay in exact integer arithmetic:
     x -> a*k through a table of small integers, one per stride a, holding
     the coefficients of C(a*k, i) in the basis C(k, l);
   * a range sum is a difference of two prefix-sum evaluations.
+
+Each of these maps is linear in the coefficients.  Their transposes act on
+covectors, plain lists w paired with coefficients as w . p = sum_i w_i *
+c_i: evaluation at x is the covector (C(x, i))_i, and the transposed
+prefix sum and substitution carry a covector from one level down to the
+level below, the substitution through the rows of the same stride table.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ class IntPolynomial:
         for _ in range(-b):
             for l in range(d - 1, -1, -1):
                 c[l] -= c[l + 1]
-        columns = _scaling_columns(a, d)
+        columns, _ = _grown_scaling_table(a, d)
         return IntPolynomial.from_coeffs(
             [sum(map(mul, c[l:], columns[l])) for l in range(d + 1)]
         )
@@ -109,31 +115,78 @@ class IntPolynomial:
         return q.eval(hi) - q.eval(lo - 1)
 
 
+def evaluation_covector(x: int, d: int) -> list[int]:
+    """The covector (C(x, 0), ..., C(x, d)), whose dot product with the
+    coefficients of any p of degree <= d is p(x)."""
+    w = [1]
+    for i in range(1, d + 1):
+        w.append(w[-1] * (x - i + 1) // i)
+    return w
+
+
+def prefix_sum_transposed(w: list[int]) -> list[int]:
+    """The transpose of ``IntPolynomial.prefix_sum``: for a covector w of
+    length d + 2, the covector v with v . p = w . p.prefix_sum() for every
+    p of degree d.  Coefficient c_i of p feeds q_i and q_{i+1}, so
+    v_i = w_i + w_{i+1}."""
+    return [x + y for x, y in zip(w, w[1:])]
+
+
+def compose_affine_transposed(w: list[int], a: int, b: int) -> list[int]:
+    """The transpose of ``IntPolynomial.compose_affine``: for a covector w
+    of length d + 1, the covector u with u . p = w . p.compose_affine(a, b)
+    for every p of degree d.
+
+    The scaling's transpose is one dot product per row of the stride
+    table, u_i = sum_l T[l][i] * w_l over l = ceil(i/a) .. i.  Then the
+    shift's: a unit step forward, c_l += c_{l+1} from the bottom up, is
+    u_{l+1} += u_l from the top down, and a step back undoes one from the
+    bottom up.
+    """
+    if a < 1:
+        raise ValueError("stride a must be positive")
+    d = len(w) - 1
+    _, rows = _grown_scaling_table(a, d)
+    u = [sum(map(mul, w[-(-i // a):], rows[i])) for i in range(d + 1)]
+    for _ in range(b):
+        for l in range(d - 1, -1, -1):
+            u[l + 1] += u[l]
+    for _ in range(-b):
+        for l in range(d):
+            u[l + 1] -= u[l]
+    return u
+
+
 @functools.cache
-def _scaling_table(a: int) -> list[list[int]]:
-    """The columns of T for stride a, as far as they have been grown:
-    column l lists T[l][i] for i = l .. min(D, a*l), D the largest degree
+def _scaling_table(a: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The stride-a table T as far as it has been grown, in two views that
+    share their entries: column l lists T[l][i] for i = l .. min(D, a*l),
+    and row i lists T[l][i] for l = ceil(i/a) .. i, D the largest degree
     requested so far (T[l][i] vanishes for i < l and for i > a*l).  Starts
-    at degree 0; ``_scaling_columns`` grows it in place."""
-    return [[1]]
+    at degree 0; ``_grown_scaling_table`` grows both in place."""
+    return [[1]], [[1]]
 
 
-def _scaling_columns(a: int, d: int) -> list[list[int]]:
+def _grown_scaling_table(a: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
     """The stride-a table, grown to degree d if it is not there yet.
 
     Growing by one degree i appends T[l][i] to each column l < i that
     reaches i, from column l - 1 by ((1+x)^a - 1)^l =
     ((1+x)^a - 1)^(l-1) * sum_{s=1..a} C(a, s) x^s, and opens column i
-    with T[i][i] = a**i.
+    with T[i][i] = a**i; the same entries make up row i.
     """
-    columns = _scaling_table(a)
+    columns, rows = _scaling_table(a)
     weight = [math.comb(a, s) for s in range(a + 1)]
     for i in range(len(columns), d + 1):
+        row = []
         for l in range(-(-i // a), i):
             prev = columns[l - 1]  # T[l-1][x] sits at prev[x - l + 1]
-            columns[l].append(
+            row.append(
                 sum(weight[i - x] * prev[x - l + 1]
                     for x in range(max(l - 1, i - a), min(i - 1, a * (l - 1)) + 1))
             )
-        columns.append([a**i])
-    return columns
+            columns[l].append(row[-1])
+        row.append(a**i)
+        columns.append([row[-1]])
+        rows.append(row)
+    return columns, rows

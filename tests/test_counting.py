@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpart.budgets import LoopBudgetExceeded, TableBudgetExceeded
+from mpart.cli import _full_decimal
 from mpart.counting import (
     chi_vector,
     count_b_gf,
@@ -75,7 +76,9 @@ def test_poly_matches_recurrence_property(m, n):
 @given(st.data())
 def test_residue_route_equals_the_exact_count_mod_m(data):
     # every residue check reduces the level loop mod M; the residue must be
-    # the exact count's, for the moduli the checks use
+    # the exact count's, for the moduli the checks use.  With a modulus the
+    # loop runs bottom-up only, without a count it meets in the middle, so
+    # this compares two distinct loops
     m = data.draw(st.integers(2, 10), label="m")
     n = data.draw(st.one_of(st.integers(0, 2000), st.integers(0, m**40)), label="n")
     k = data.draw(st.integers(1, 40), label="k")
@@ -87,8 +90,22 @@ def test_residue_route_equals_the_exact_count_mod_m(data):
             assert count_b_poly(m, n, modulus) == recurrence_table(m, n)[n] % modulus
 
 
-# (digit count, SHA-256 of the decimal) of b and c, computed with an
-# independent substitution: interpolation from d+1 point values
+@settings(deadline=None)
+@given(st.data())
+def test_split_loop_equals_the_bottom_up_loop(data):
+    # a modulus above the count keeps every value and runs the level loop
+    # bottom-up only; the exact count splits it and runs the top transposed
+    m = data.draw(st.integers(2, 10), label="m")
+    n = data.draw(st.integers(0, m**60), label="n")
+    for count in (count_b_poly, count_c_poly):
+        exact = count(m, n)
+        assert count(m, n, modulus=1 << exact.bit_length()) == exact
+
+
+# (digit count, SHA-256 of the decimal) of b and c.  The first two were
+# computed with an independent substitution: interpolation from d+1 point
+# values; the rest by the level loop run bottom-up only, before it met in
+# the middle.
 PINNED = {
     (2, 2**120 + 12345): (
         (1960, "8f22148962877b6d3347d71abf93aadade11088bd84b8e71bbbbcb77d9079441"),
@@ -98,11 +115,24 @@ PINNED = {
         (1691, "9ac5f560e2d5cf93a5505e4f2c96a6c07ae61700596c2972b71d0167de0ec0e4"),
         (1691, "2d732c7d4db774fa56e8d35cdfcfb87884e7d28092749c38cb114913129831ce"),
     ),
+    (2, 2**200 + 12345): (
+        (5626, "2083785a9c2e4f42d292cb5c9f75b31f6cdc3b48ec279dfa675101319351b5dd"),
+        (5626, "682ce82e46ea22032d15b3beb58aa7409d1f0b089faf67f1149daf46c8c5d223"),
+    ),
+    (3, 3**90 + 5): (
+        (1778, "de41797079419e6675acf0c9eeab954b7dc1e968d0cf9de9b5f2b2d2cc609896"),
+        (1778, "53d04ee5181845543dcb3d98b2ce7a0d9cabe0c1e050ce782f61ebfc0d4d1c18"),
+    ),
+    (5, 5**83 + 11): (
+        (2258, "14ec570bd70de1c6e167624b31361975f6307474900181b328bb9f28b488fb38"),
+        (2258, "16ca1fb1afdf71b196c7ae92d7959c1d0e67e5f01279ad2bd0f0ac8054635a68"),
+    ),
 }
 
 
 def _fingerprint(value: int) -> tuple[int, str]:
-    text = str(value)
+    with _full_decimal():  # the 2**200 counts pass the int -> str limit
+        text = str(value)
     return len(text), hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -111,6 +141,62 @@ def test_poly_counts_pinned_at_large_n(m, n):
     b_pin, c_pin = PINNED[(m, n)]
     assert _fingerprint(count_b_poly(m, n)) == b_pin
     assert _fingerprint(count_c_poly(m, n)) == c_pin
+
+
+def _reference_counts(m: int, top: int) -> tuple[list[int], list[int]]:
+    """b(m, 0..top) and c(m, 0..top) without the level loop: p_r counts
+    partitions of x into parts 1, m, ..., m**r, b is the limit over r, and
+    c(n) = sum_r p_r(n - s_r) with s_r = 1 + m + ... + m**r."""
+    p = [1] * (top + 1)
+    c = [1] + [0] * top
+    power, s = 1, 1
+    while s <= top:
+        for x in range(s, top + 1):
+            c[x] += p[x - s]
+        power *= m
+        s += power
+        for x in range(power, top + 1):
+            p[x] += p[x - power]
+    while power * m <= top:
+        power *= m
+        for x in range(power, top + 1):
+            p[x] += p[x - power]
+    return p, c
+
+
+def _has_top_offset_minus_one(m: int, n: int) -> bool:
+    """Whether c's chain meets an offset -1 above the split, where the
+    covector undoes a unit shift."""
+    offsets, strata = chain(m, n, gapfree=True)
+    depth = max((r for r, _ in strata), default=0)
+    return -1 in offsets[(6 * depth + 5) // 10:depth]
+
+
+SPLIT_EDGES = {  # base -> n at the split's edge cases, up to m**4
+    m: sorted({
+        *range(m),  # c's chain is empty: depth 0
+        m, m + 1, 2 * m - 1, m * m - 1,  # depth 1: no level above the split
+        m * m, m * m + m - 1, m**3 - 1,  # depth 2: one level above it
+        *(x for k in range(1, 5) for x in (m**k - 1, m**k)),
+        *[n for n in range(m**3, m**4) if _has_top_offset_minus_one(m, n)][:12],
+    })
+    for m in (2, 3, 4, 5, 7, 10)
+}
+
+
+@pytest.mark.parametrize("m", SPLIT_EDGES)
+def test_split_edge_cases_match_reference_tables(m):
+    b, c = _reference_counts(m, m**4)
+    assert any(_has_top_offset_minus_one(m, n) for n in SPLIT_EDGES[m])
+    for n in SPLIT_EDGES[m]:
+        assert count_b_poly(m, n) == b[n], n
+        assert count_c_poly(m, n) == c[n], n
+
+
+def test_poly_counts_are_one_below_the_base():
+    for m in range(2, 11):
+        for n in (0, 1, m - 1):
+            assert count_b_poly(m, n) == count_c_poly(m, n) == 1
 
 
 def test_four_way_agreement_medium_grid():
@@ -257,6 +343,10 @@ def test_argument_validation():
         for modulus in (0, -3):
             with pytest.raises(ValueError, match=f"modulus must be positive, got {modulus}"):
                 count(3, 100, modulus)
+            start = time.perf_counter()  # refused before the level loop runs
+            with pytest.raises(ValueError, match="modulus must be positive"):
+                count(2, 2**400, modulus)
+            assert time.perf_counter() - start < 1.0
 
 
 def test_every_formula_route_checks_the_base_at_n_zero():

@@ -132,25 +132,64 @@ def test_compose_affine_every_stride_and_shift():
                 ]
 
 
+def _dot(w, p):
+    return sum(x * y for x, y in zip(w, p.coeffs, strict=True))
+
+
+def test_transposed_step_is_the_adjoint_of_the_level_step():
+    # w . (prefix sum, then substitution)(p) == (the transposed step of w) . p
+    rng = random.Random(2003)
+    for a in (2, 3, 7, 10):
+        for b in (-1, 0, a - 1):
+            for degree in (0, 1, 2, 9, 25, 40):
+                p = _random_poly(rng, degree, bits=300)
+                r = p.prefix_sum().compose_affine(a, b)
+                w = [rng.getrandbits(300) - (1 << 299) for _ in range(r.degree + 1)]
+                v = polysum.prefix_sum_transposed(polysum.compose_affine_transposed(w, a, b))
+                assert len(v) == degree + 1
+                assert _dot(w, r) == _dot(v, p)
+
+
+def test_evaluation_covector_evaluates():
+    rng = random.Random(5)
+    for degree in (0, 1, 6, 30):
+        p = _random_poly(rng, degree, bits=64)
+        for x in (-1, 0, 3, 17, 10**20):
+            assert _dot(polysum.evaluation_covector(x, degree), p) == p.eval(x)
+
+
 def test_compose_affine_independent_of_table_history():
     rng = random.Random(11)
     polys = [_random_poly(rng, degree, bits=300) for degree in (40, 25, 9, 1, 0)]
     cases = [(p, a, b) for p in polys for a in (2, 3, 7, 10) for b in (-1, 0, a - 1)]
+
+    def both(p, a, b):  # the column view, then the row view of the table
+        return p.compose_affine(a, b), polysum.compose_affine_transposed(list(p.coeffs), a, b)
+
     polysum._scaling_table.cache_clear()
-    falling = [p.compose_affine(a, b) for p, a, b in cases]  # tables grow at once
+    falling = [both(p, a, b) for p, a, b in cases]  # tables grow at once
     polysum._scaling_table.cache_clear()
-    rising = [p.compose_affine(a, b) for p, a, b in reversed(cases)][::-1]
+    rising = [both(p, a, b) for p, a, b in reversed(cases)][::-1]
     assert falling == rising
     polysum._scaling_table.cache_clear()
-    assert [p.compose_affine(a, b) for p, a, b in cases] == falling
+    assert [both(p, a, b) for p, a, b in cases] == falling
+    polysum._scaling_table.cache_clear()  # each view grown first on its own
+    rows_first = [polysum.compose_affine_transposed(list(p.coeffs), a, b) for p, a, b in cases]
+    assert [p.compose_affine(a, b) for p, a, b in cases] == [r for r, _ in falling]
+    assert rows_first == [u for _, u in falling]
 
 
 def test_scaling_table_grows_only_to_the_degree_in_use():
     polysum._scaling_table.cache_clear()
     IntPolynomial((0,) * 12 + (1,)).compose_affine(3, 1)
-    columns = polysum._scaling_table(3)
-    assert len(columns) == 13
+    columns, rows = polysum._scaling_table(3)
+    assert len(columns) == len(rows) == 13
     # column l holds [x^i] ((1+x)^3 - 1)^l for i = l .. min(12, 3*l)
     assert columns[1] == [3, 3, 1]
     assert columns[2] == [9, 18, 15, 6, 1]
     assert all(len(col) == min(12, 3 * l) - l + 1 for l, col in enumerate(columns))
+    # row i holds the same entries for l = ceil(i/3) .. i
+    assert rows[2] == [3, 9]
+    assert rows[4] == [15, 81, 81]
+    assert all(row == [columns[l][i - l] for l in range(-(-i // 3), i + 1)]
+               for i, row in enumerate(rows))
