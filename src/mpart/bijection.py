@@ -9,6 +9,9 @@ sequence (beta_j, ..., beta_1) whose entries obey the chained bounds
 and this map is a bijection from the partitions of n onto all sequences
 satisfying the bounds.  Counting m-ary partitions thereby reduces to
 counting lattice points of the chained inequalities.
+
+phi, phi_inv and is_member run the one carry recurrence beta_t = alpha_t
+- lambda_t + m*beta_{t+1}, beta_{j+1} = 0, solved for beta or for lambda.
 """
 
 from __future__ import annotations
@@ -53,51 +56,53 @@ def phi(p: MaryPartition, n: int) -> BetaSeq:
     """Subtract the partition from the digit vector of n.
 
     beta_i = sum_{k=i}^{j} m**(k-i) * (alpha_k - lambda_k), evaluated by
-    the downward recurrence beta_j = alpha_j - lambda_j,
-    beta_t = alpha_t - lambda_t + m*beta_{t+1}.
+    the downward carry recurrence beta_t = alpha_t - lambda_t +
+    m*beta_{t+1} for t = j..1 from beta_{j+1} = 0; for n < m (j = 0) the
+    loop is empty and so is the sequence.
     """
     if weight(p) != n:
         raise ValueError(f"partition sums to {weight(p)}, not {n}")
     alpha = to_base(p.m, n).digits
     j = len(alpha) - 1
     lam = p.mults + (0,) * (j + 1 - len(p.mults))
-    betas = [0] * j
-    if j > 0:
-        betas[j - 1] = alpha[j] - lam[j]
-        for t in range(j - 1, 0, -1):
-            betas[t - 1] = alpha[t] - lam[t] + p.m * betas[t]
+    betas = [0] * j  # betas[t-1] = beta_t
+    beta = 0  # the carry beta_{t+1}, from beta_{j+1} = 0
+    for t in range(j, 0, -1):
+        beta = betas[t - 1] = alpha[t] - lam[t] + p.m * beta
     return BetaSeq(p.m, n, tuple(betas))
 
 
-def phi_inv(b: BetaSeq) -> MaryPartition:
-    """Invert phi: rebuild the multiplicities and strip top zeros."""
-    if not is_member(b):
-        raise ValueError("sequence violates its chained bounds")
+def _multiplicities(b: BetaSeq) -> list[int] | None:
+    """The carry recurrence solved for lambda: lambda_t = alpha_t - beta_t
+    + m*beta_{t+1} for t = j..0, with beta_{j+1} = beta_0 = 0, lowest
+    exponent first; None at the first beta_t < 0 or lambda_t < 0.
+    lambda_t >= 0 is the upper bound beta_t <= alpha_t + m*beta_{t+1}, so
+    None means exactly that the chained bounds fail."""
     alpha = to_base(b.m, b.n).digits
-    j = len(alpha) - 1
-    lam = [0] * (j + 1)
-    if j == 0:
-        lam[0] = alpha[0]
-    else:
-        lam[j] = alpha[j] - b.betas[j - 1]
-        for t in range(j - 1, 0, -1):
-            lam[t] = alpha[t] - b.betas[t - 1] + b.m * b.betas[t]
-        lam[0] = alpha[0] + b.m * b.betas[0]
+    beta = (0, *b.betas, 0)  # beta[t] = beta_t for t = 0..j+1
+    lam = [0] * len(alpha)
+    for t in range(len(alpha) - 1, -1, -1):
+        lam[t] = alpha[t] - beta[t] + b.m * beta[t + 1]
+        if beta[t] < 0 or lam[t] < 0:
+            return None
+    return lam
+
+
+def phi_inv(b: BetaSeq) -> MaryPartition:
+    """Invert phi: rebuild the multiplicities by the carry recurrence
+    solved for lambda and strip top zeros; a sequence outside the chained
+    bounds raises ValueError."""
+    lam = _multiplicities(b)
+    if lam is None:
+        raise ValueError("sequence violates its chained bounds")
     return MaryPartition.from_mults(b.m, lam)
 
 
 def is_member(b: BetaSeq) -> bool:
-    """True iff the chained bounds hold for every entry."""
-    alpha = to_base(b.m, b.n).digits
-    j = len(alpha) - 1
-    if j == 0:
-        return True
-    if not 0 <= b.betas[j - 1] <= alpha[j]:
-        return False
-    for t in range(j - 1, 0, -1):
-        if not 0 <= b.betas[t - 1] <= alpha[t] + b.m * b.betas[t]:
-            return False
-    return True
+    """True iff the chained bounds hold for every entry, that is iff
+    phi_inv's recurrence yields no negative multiplicity; the empty
+    sequence of n < m always holds."""
+    return _multiplicities(b) is not None
 
 
 def enumerate_members(m: int, n: int, budget: int | None = None) -> list[BetaSeq]:

@@ -93,23 +93,30 @@ def _fmt(values) -> str:
     return ",".join(str(v) for v in values)
 
 
+def _answers(routes, m: int, n: int) -> tuple[list[tuple[str, int]], int]:
+    """(method, count) for every route that answers at (m, n), in the
+    routes' order, and the number that refused over budget."""
+    answers, refused = [], 0
+    for method, route in routes.items():
+        try:
+            answers.append((method, route(m, n)))
+        except BudgetExceeded:
+            refused += 1
+    return answers, refused
+
+
 def cmd_count(args) -> int:
     routes = B_ROUTES if args.kind == "b" else C_ROUTES
     if args.check:
-        values: dict[str, int] = {}
-        for method, route in routes.items():
-            try:
-                values[method] = route(args.base, args.n)
-            except BudgetExceeded:
-                continue
-        if not values:
+        answers, _ = _answers(routes, args.base, args.n)
+        if not answers:
             print("error: every applicable method exceeded its budget", file=sys.stderr)
             return 2
-        if len(set(values.values())) > 1:
-            for method, value in values.items():
+        if len({value for _, value in answers}) > 1:
+            for method, value in answers:
                 print(f"{method} {value}")
             return 1
-        print(next(iter(values.values())))
+        print(answers[0][1])
         return 0
     if args.method not in routes:
         print(f"error: method {args.method!r} does not apply to kind {args.kind!r}",
@@ -182,50 +189,35 @@ class VerifyReport:
         self.failures.append(record)
 
 
+def _compare_routes(report: VerifyReport, m: int, n: int, routes) -> None:
+    """Check every answering route against the first one at (m, n); each
+    refusal counts as a skip."""
+    report.cases_run += 1
+    answers, refused = _answers(routes, m, n)
+    report.skipped += refused
+    (_, expected), *others = answers
+    for method, value in others:
+        if value != expected:
+            report.fail(m, n, expected, value, method=method)
+
+
 def _verify_oracle_b(report: VerifyReport, args) -> None:
-    ns = args.n_range
-    top = ns.stop - 1
+    top = args.n_range.stop - 1
     for m in args.base_range:
         table = counting.recurrence_table(m, top)
         gf = counting.count_b_gf(m, top)
-        for n in ns:
-            report.cases_run += 1
-            expected = table[n]
-            if gf[n] != expected:
-                report.fail(m, n, expected, gf[n], method="gf")
-            poly = counting.count_b_poly(m, n)
-            if poly != expected:
-                report.fail(m, n, expected, poly, method="poly")
-            try:
-                nested = counting.count_b_nested(m, n)
-            except BudgetExceeded:
-                report.skipped += 1
-            else:
-                if nested != expected:
-                    report.fail(m, n, expected, nested, method="nested")
+        routes = {"recurrence": lambda m, n: table[n], "gf": lambda m, n: gf[n],
+                  "poly": B_ROUTES["poly"], "nested": B_ROUTES["nested"]}
+        for n in args.n_range:
+            _compare_routes(report, m, n, routes)
 
 
 def _verify_oracle_c(report: VerifyReport, args) -> None:
+    # the enumeration is the reference where it answers, else poly
+    routes = {method: C_ROUTES[method] for method in ("enumerate", "poly", "nested")}
     for m in args.base_range:
         for n in args.n_range:
-            report.cases_run += 1
-            expected = None
-            try:
-                expected = partitions.count_c_enum(m, n)
-            except BudgetExceeded:
-                report.skipped += 1
-            poly = counting.count_c_poly(m, n)
-            if expected is None:
-                expected = poly
-            elif poly != expected:
-                report.fail(m, n, expected, poly, method="poly")
-            try:
-                nested = counting.count_c_nested(m, n)
-            except BudgetExceeded:
-                report.skipped += 1
-            else:
-                if nested != expected:
-                    report.fail(m, n, expected, nested, method="nested")
+            _compare_routes(report, m, n, routes)
 
 
 def _verify_bijection(report: VerifyReport, args) -> None:

@@ -148,6 +148,7 @@ def b_estimate(m: int, n: int, cap: int) -> int:
     count is only taken for n below about m*cap, where it is cheap.  The
     two nested routes check it before walking, so that their refusal can
     name the count they would need."""
+    to_base(m, n)  # rejects m < 2 and n < 0 before the floor divides by m
     floor = n // m + 1
     if floor > cap:
         return floor
@@ -160,13 +161,12 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
     The innermost step count equals the answer itself, so the step budget
     is checked up front (against the lower bound n//m + 1 or the
     polynomial count, see ``b_estimate``); the walker keeps its own count
-    against the same budget.
+    against the same budget.  n < m takes the same path, one step, so
+    budget 0 refuses it too.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     cap = loop_budget(budget)
-    if to_base(m, n).j == 0:
-        return 1
     estimate = b_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(
@@ -194,12 +194,11 @@ def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
     Innermost steps total one less than the answer; the budget pre-check
     uses the plain partition count as an upper bound (gap-free partitions
     are a subset), keeping the guard independent of both gap-free routes.
+    So budget 0 refuses every n, n < m included.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     cap = loop_budget(budget)
-    if to_base(m, n).j == 0:
-        return 1
     estimate = b_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(

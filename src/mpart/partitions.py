@@ -121,26 +121,24 @@ def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
     """|enumerate_b(m, n)| computed by the same multiplicity walk without
     materializing the partitions (``kernels.walk_partitions``), which
     refuses in O(1) when n//m + 1 already exceeds the budget and otherwise
-    stops as soon as its count passes it.  1 at n = 0 for the empty
-    partition."""
+    stops as soon as its count passes it.  At n = 0 the walk has one leaf,
+    the empty partition, which it counts against the budget like any
+    other."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 1
     return kernels.walk_partitions(m, n, enum_budget(budget))
 
 
 def count_c_enum(m: int, n: int, budget: int | None = None) -> int:
     """|enumerate_c(m, n)| by the same strata of the multiplicity walk
     without materializing (``kernels.walk_gapfree``), which refuses in O(1)
-    when (n-1)//m + 1 already exceeds the budget.  1 at n = 0 for the empty
-    partition."""
+    when (n-1)//m + 1 already exceeds the budget.  At n = 0 the walk has
+    one leaf, the empty partition, counted against the budget like any
+    other."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return 1
     return kernels.walk_gapfree(m, n, enum_budget(budget))

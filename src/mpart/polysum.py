@@ -176,8 +176,8 @@ def _grown_scaling_table(a: int, d: int) -> tuple[list[list[int]], list[list[int
     with T[i][i] = a**i; the same entries make up row i.
     """
     columns, rows = _scaling_table(a)
-    weight = [math.comb(a, s) for s in range(a + 1)]
     for i in range(len(columns), d + 1):
+        weight = [math.comb(a, s) for s in range(a + 1)]
         row = []
         for l in range(-(-i // a), i):
             prev = columns[l - 1]  # T[l-1][x] sits at prev[x - l + 1]

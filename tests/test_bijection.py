@@ -117,6 +117,34 @@ def test_phi_round_trip_property(m, lower_mults, top_mult):
     assert phi_inv(image) == p
 
 
+@settings(deadline=None, max_examples=500)
+@given(st.data())
+def test_membership_is_the_chained_inequalities(data):
+    # n with j + 1 digits, j = 0 included, and entries drawn from -3 to
+    # past the bounds that the entries above them set
+    m = data.draw(st.integers(2, 10))
+    j = data.draw(st.integers(0, 8))
+    n = data.draw(st.integers(m**j, m ** (j + 1) - 1))
+    alpha = to_base(m, n).digits
+    msb = []  # beta_j, ..., beta_1
+    above = 0
+    for t in range(j, 0, -1):
+        above = data.draw(st.integers(-3, max(alpha[t] + m * above, 0) + 3))
+        msb.append(above)
+    b = BetaSeq(m, n, tuple(reversed(msb)))
+    # 0 <= beta_j <= alpha_j and 0 <= beta_t <= alpha_t + m*beta_{t+1} below
+    member, above = True, 0
+    for t, beta in zip(range(j, 0, -1), msb):
+        member = member and 0 <= beta <= alpha[t] + m * above
+        above = beta
+    assert is_member(b) == member
+    if member:
+        assert phi(phi_inv(b), n) == b
+    else:
+        with pytest.raises(ValueError, match="sequence violates its chained bounds"):
+            phi_inv(b)
+
+
 def test_bijection_onto_members_small_grid():
     for m in (2, 3, 4, 5):
         for n in range(1, 121):

@@ -506,6 +506,24 @@ def test_residue_failures_are_pinned(capsys, monkeypatch, case):
     assert run(capsys, *argv) == (1, expected_out, "")
 
 
+def test_oracle_c_falls_back_to_poly_over_the_enumeration_budget(capsys, monkeypatch):
+    # the enumeration answers only where c = 1; elsewhere the wrong poly count
+    # is the reference and nested is recorded against it, each refusal a skip
+    monkeypatch.setenv("MPART_ENUM_BUDGET", "1")
+    monkeypatch.setattr(counting, "count_c_poly", _quotient_count)
+    code, out, err = run(capsys, "verify", "--suite", "oracle-c",
+                         "--base-range", "2..3", "--n-range", "1..6")
+    records = [(2, 1, "1", "0", "poly"), (2, 3, "1", "2", "nested"),
+               (2, 5, "2", "3", "nested"), (3, 1, "1", "0", "poly"),
+               (3, 2, "1", "0", "poly"), (3, 4, "1", "2", "nested"),
+               (3, 5, "1", "2", "nested")]
+    lines = [json.dumps({"m": m, "n": n, "suite": "oracle-c", "expected": expected,
+                         "actual": actual, "method": method})
+             for m, n, expected, actual, method in records]
+    summary = {"suite": "oracle-c", "cases_run": 12, "failures": 7, "skipped": 7}
+    assert (code, out, err) == (1, "\n".join(lines + [json.dumps(summary)]) + "\n", "")
+
+
 USAGE_ERRORS = {
     "suite": (
         ["verify", "--suite", "nope", "--n-range", "1..2"],

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpart.budgets import LoopBudgetExceeded, TableBudgetExceeded
+from mpart.bijection import enumerate_members
+from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, TableBudgetExceeded
 from mpart.cli import _full_decimal
 from mpart.counting import (
     chi_vector,
@@ -18,7 +19,7 @@ from mpart.counting import (
     recurrence_table,
 )
 from mpart.kernels import chain
-from mpart.partitions import count_c_enum, enumerate_b, enumerate_c
+from mpart.partitions import count_b_enum, count_c_enum, enumerate_b, enumerate_c
 from mpart.radix import to_base
 
 
@@ -296,6 +297,27 @@ def test_nested_refusal_is_exact():
                 count_b_nested(m, n, budget=budget)
             with pytest.raises(LoopBudgetExceeded):
                 count_c_nested(m, n, budget=budget)
+
+
+def test_brute_force_routes_check_their_budget_below_the_base():
+    # n < m has one partition and one sequence, walked like any other, so
+    # budget 0 refuses it and budget 1 lets it through
+    counters = ((count_b_nested, LoopBudgetExceeded), (count_c_nested, LoopBudgetExceeded),
+                (count_b_enum, EnumerationBudgetExceeded),
+                (count_c_enum, EnumerationBudgetExceeded))
+    enumerations = (enumerate_b, enumerate_c, enumerate_members)
+    for m in (2, 3, 10):
+        for n in (0, 1, m - 1, m):
+            for count, refusal in counters:
+                with pytest.raises(refusal):
+                    count(m, n, budget=0)
+            if n > 0:
+                for enumerate_ in enumerations:
+                    with pytest.raises(EnumerationBudgetExceeded):
+                        enumerate_(m, n, budget=0)
+        for n in range(m):
+            for count, _ in counters:
+                assert count(m, n, budget=1) == 1
 
 
 def test_table_routes_refuse_past_the_enumeration_budget(monkeypatch):
