@@ -10,6 +10,7 @@ failures are emitted as JSON lines with big integers as decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -284,7 +285,10 @@ def cmd_verify(args) -> int:
     return 1 if report.failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mpart`` parser, built once per process on first use; argparse
+    reads the terminal width when it prints usage, not here."""
     parser = argparse.ArgumentParser(
         prog="mpart",
         description="Exact counting and verification for m-ary partitions.",

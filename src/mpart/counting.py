@@ -21,7 +21,8 @@ the same level loop reduced mod it, which is what the congruence checks
 take; the reduction shrinks the levels from the bottom up, so that loop
 runs bottom-up all the way.
 
-Counts at n = 0 are defined as 1 (the empty partition) throughout.
+Counts at n = 0 are defined as 1 (the empty partition) throughout.  Every
+count checks (m, n) through ``to_base`` first, then its budget or modulus.
 """
 
 from __future__ import annotations
@@ -136,8 +137,6 @@ def count_b_poly(m: int, n: int, modulus: int | None = None) -> int:
     the sum of g_{j-1} over [0, alpha_j]: the one stratum of its chain.
     With ``modulus`` M it returns b(m, n) mod M exactly, each level reduced
     mod M (see ``_chain_total``), which is all a congruence check needs."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     return _chain_total(m, *kernels.chain(m, n, gapfree=False), modulus)
 
 
@@ -146,9 +145,8 @@ def b_estimate(m: int, n: int, cap: int) -> int:
     cap: the partitions into parts 1 and m already number n//m + 1.  Either
     way the result exceeds cap exactly when b(m, n) does, and the exact
     count is only taken for n below about m*cap, where it is cheap.  The
-    two nested routes check it before walking, so that their refusal can
-    name the count they would need."""
-    to_base(m, n)  # rejects m < 2 and n < 0 before the floor divides by m
+    two nested routes check it after (m, n) and before walking, so that
+    their refusal can name the count they would need."""
     floor = n // m + 1
     if floor > cap:
         return floor
@@ -164,8 +162,7 @@ def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
     against the same budget.  n < m takes the same path, one step, so
     budget 0 refuses it too.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    to_base(m, n)
     cap = loop_budget(budget)
     estimate = b_estimate(m, n, cap)
     if estimate > cap:
@@ -182,8 +179,6 @@ def count_c_poly(m: int, n: int, modulus: int | None = None) -> int:
     ``count_b_poly``, each level built once for every stratum.  With
     ``modulus`` M it returns c(m, n) mod M exactly, as ``count_b_poly``
     does."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     total = _chain_total(m, *kernels.chain(m, n, gapfree=True), modulus)
     return 1 + total if modulus is None else (1 + total) % modulus
 
@@ -196,8 +191,7 @@ def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
     are a subset), keeping the guard independent of both gap-free routes.
     So budget 0 refuses every n, n < m included.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    to_base(m, n)
     cap = loop_budget(budget)
     estimate = b_estimate(m, n, cap)
     if estimate > cap:

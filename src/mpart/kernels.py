@@ -1,7 +1,8 @@
 """Walkers for the hot counting loops.
 
-Every walker takes ``(m, n, cap)``, returns a nonnegative count, and raises
-the budget error of its family as soon as its step counter passes ``cap``:
+Every walker takes ``(m, n, cap)``, rejects m < 2 and n < 0 first, as
+``to_base`` does, returns a nonnegative count, and raises the budget error
+of its family as soon as its step counter passes ``cap``:
 ``LoopBudgetExceeded`` for the nested sums, ``EnumerationBudgetExceeded``
 for the partition walks.  Integers are Python's own, so no input size
 overflows.
@@ -94,6 +95,7 @@ def nested_sum_b(m: int, n: int, cap: int, leaf=None) -> int:
     """b(m, n) as the leaf count of the chained loops k_j..k_1 with upper
     bounds alpha_j and alpha_t + m*k_{t+1} over the base-m digits of n.
     ``leaf`` sees ks with j + 1 entries, of which ks[:j] are the loop's."""
+    to_base(m, n)
     refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
     if n // m + 1 > cap:
         raise LoopBudgetExceeded(refusal)
@@ -103,6 +105,7 @@ def nested_sum_b(m: int, n: int, cap: int, leaf=None) -> int:
 def nested_sum_c(m: int, n: int, cap: int) -> int:
     """c(m, n) - 1 as the leaf count of the gap-free strata, walked from
     zero as ``chain`` reindexes them."""
+    to_base(m, n)
     refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
     if (n - 1) // m > cap:
         raise LoopBudgetExceeded(refusal)
@@ -160,7 +163,7 @@ def walk_gapfree(m: int, n: int, cap: int, leaf=None) -> int:
     part of each size m**0..m**r plus a partition of rest = n - (1 + m +
     ... + m**r) >= 0 into those parts, which ``leaf`` sees as mults with
     r + 1 entries: the gap-free partition is each entry plus one."""
-    j = to_base(m, n).j  # rejects m < 2 and n < 0 before the floor divides by m
+    j = to_base(m, n).j
     refusal = f"more than {shown(cap)} gap-free partitions of {shown(n)} in base {shown(m)}"
     # the all-ones partition and those with k >= 1 parts m and at least one
     # part 1 number (n-1)//m + 1

@@ -2,7 +2,8 @@
 
 The enumerations here are the ground-truth oracles for the counting
 formulas: they walk every choice of part multiplicities directly, with no
-shared structure with the summation or polynomial methods.
+shared structure with the summation or polynomial methods.  Each checks the
+base first, then n, then its budget.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import enum_budget
+from .radix import to_base
 from . import kernels
 
 
@@ -124,10 +126,7 @@ def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
     stops as soon as its count passes it.  At n = 0 the walk has one leaf,
     the empty partition, which it counts against the budget like any
     other."""
-    if m < 2:
-        raise ValueError(f"base must be >= 2, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    to_base(m, n)
     return kernels.walk_partitions(m, n, enum_budget(budget))
 
 
@@ -137,8 +136,5 @@ def count_c_enum(m: int, n: int, budget: int | None = None) -> int:
     when (n-1)//m + 1 already exceeds the budget.  At n = 0 the walk has
     one leaf, the empty partition, counted against the budget like any
     other."""
-    if m < 2:
-        raise ValueError(f"base must be >= 2, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    to_base(m, n)
     return kernels.walk_gapfree(m, n, enum_budget(budget))

@@ -90,17 +90,15 @@ class IntPolynomial:
         with T[l][i] = [x^i] ((1+x)^a - 1)^l, so r_l = sum_i q_i * T[l][i],
         one dot product per coefficient against the cached columns of T.
         """
-        if a < 1:
-            raise ValueError("stride a must be positive")
         c = list(self.coeffs)
         d = len(c) - 1
+        columns, _ = _grown_scaling_table(a, d)
         for _ in range(b):
             for l in range(d):
                 c[l] += c[l + 1]
         for _ in range(-b):
             for l in range(d - 1, -1, -1):
                 c[l] -= c[l + 1]
-        columns, _ = _grown_scaling_table(a, d)
         return IntPolynomial.from_coeffs(
             [sum(map(mul, c[l:], columns[l])) for l in range(d + 1)]
         )
@@ -143,8 +141,6 @@ def compose_affine_transposed(w: list[int], a: int, b: int) -> list[int]:
     u_{l+1} += u_l from the top down, and a step back undoes one from the
     bottom up.
     """
-    if a < 1:
-        raise ValueError("stride a must be positive")
     d = len(w) - 1
     _, rows = _grown_scaling_table(a, d)
     u = [sum(map(mul, w[-(-i // a):], rows[i])) for i in range(d + 1)]
@@ -168,13 +164,16 @@ def _scaling_table(a: int) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _grown_scaling_table(a: int, d: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The stride-a table, grown to degree d if it is not there yet.
+    """The stride-a table, grown to degree d if it is not there yet; a
+    stride a < 1 raises ValueError before any table is cached.
 
     Growing by one degree i appends T[l][i] to each column l < i that
     reaches i, from column l - 1 by ((1+x)^a - 1)^l =
     ((1+x)^a - 1)^(l-1) * sum_{s=1..a} C(a, s) x^s, and opens column i
     with T[i][i] = a**i; the same entries make up row i.
     """
+    if a < 1:
+        raise ValueError("stride a must be positive")
     columns, rows = _scaling_table(a)
     for i in range(len(columns), d + 1):
         weight = [math.comb(a, s) for s in range(a + 1)]

@@ -1,0 +1,63 @@
+"""The argument gate: every counting and enumeration entry point checks the
+base first, then n, then its budget variable or modulus, and any input
+either answers or fails with ValueError or a budget error, quickly."""
+
+import time
+
+import pytest
+
+from mpart import kernels
+from mpart.bijection import enumerate_members
+from mpart.budgets import ENUM_BUDGET_ENV, LOOP_BUDGET_ENV, BudgetExceeded
+from mpart.counting import count_b_nested, count_b_poly, count_c_nested, count_c_poly
+from mpart.partitions import count_b_enum, count_c_enum, enumerate_b, enumerate_c
+from mpart.polysum import IntPolynomial, compose_affine_transposed
+
+WALKERS = (kernels.nested_sum_b, kernels.nested_sum_c, kernels.walk_partitions,
+           kernels.walk_gapfree)
+POLY = (count_b_poly, count_c_poly)
+BUDGETED = (count_b_nested, count_c_nested, count_b_enum, count_c_enum, enumerate_b,
+            enumerate_c, enumerate_members)
+
+# (entry point, its third argument: the walker's cap, the modulus or the budget)
+ENTRIES = [
+    *[(f, cap) for f in WALKERS for cap in (0, 10)],
+    *[(f, modulus) for f in POLY for modulus in (None, 0, 2)],
+    *[(f, budget) for f in BUDGETED for budget in (None, 0)],
+]
+
+
+@pytest.mark.parametrize("env", [None, "abc"], ids=["env-unset", "env-abc"])
+@pytest.mark.parametrize("entry, third", ENTRIES,
+                         ids=[f"{f.__name__}-{third}" for f, third in ENTRIES])
+def test_argument_gate(monkeypatch, entry, third, env):
+    for variable in (ENUM_BUDGET_ENV, LOOP_BUDGET_ENV):
+        if env is None:
+            monkeypatch.delenv(variable, raising=False)
+        else:
+            monkeypatch.setenv(variable, env)
+    for m in (-2, 0, 1, 2, 3):
+        for n in (-2, 0, 1, 5, 2**70):
+            start = time.perf_counter()
+            try:
+                entry(m, n, third)
+                error = None
+            except (ValueError, BudgetExceeded) as exc:
+                error = exc
+            assert time.perf_counter() - start < 1.0, (m, n)
+            if m < 2:
+                assert type(error) is ValueError, (m, n)
+                assert str(error) == f"base must be >= 2, got {m}"
+            elif n < 0:
+                assert type(error) is ValueError, (m, n)
+                assert str(error).startswith("n must be "), (m, n)
+
+
+@pytest.mark.parametrize("a", [0, -1])
+@pytest.mark.parametrize("transposed", [False, True], ids=["compose", "transposed"])
+def test_stride_below_one_is_refused(a, transposed):
+    with pytest.raises(ValueError, match="^stride a must be positive$"):
+        if transposed:
+            compose_affine_transposed([1, 2, 3], a, 1)
+        else:
+            IntPolynomial((1, 2, 3)).compose_affine(a, 1)

@@ -562,3 +562,11 @@ def test_invalid_choice_usage_is_pinned(capsys, monkeypatch, option):
     captured = capsys.readouterr()
     assert exc_info.value.code == 2
     assert (captured.out, captured.err) == ("", expected_err)
+
+
+def test_shared_parser_wraps_usage_at_the_width_of_the_error(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "30")
+    assert main(["digits", "--base", "2", "--n", "5"]) == 0
+    capsys.readouterr()
+    test_invalid_choice_usage_is_pinned(capsys, monkeypatch, "suite")
