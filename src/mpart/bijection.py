@@ -105,17 +105,17 @@ def is_member(b: BetaSeq) -> bool:
     return _multiplicities(b) is not None
 
 
-def enumerate_members(m: int, n: int, budget: int | None = None) -> list[BetaSeq]:
+def enumerate_members(m: int, n: int) -> list[BetaSeq]:
     """Every sequence satisfying the chained bounds, in ascending
     lexicographic order on (beta_j, ..., beta_1), by bounded nested loops.
 
-    The budget is checked before any sequence is built by the nested-sum
-    walker (``kernels.nested_sum_b``), which counts the sequences without
-    materializing them, so the check borrows nothing from the formulas the
-    sequences are checked against; a second walk then builds them at its
-    leaves."""
+    ``MPART_ENUM_BUDGET`` is checked, after (m, n), before any sequence is
+    built by the nested-sum walker (``kernels.nested_sum_b``), which counts
+    the sequences without materializing them, so the check borrows nothing
+    from the formulas the sequences are checked against; a second walk then
+    builds them at its leaves."""
     j = to_base(m, n).j
-    cap = enum_budget(budget)
+    cap = enum_budget()
     try:
         kernels.nested_sum_b(m, n, cap)
     except LoopBudgetExceeded:

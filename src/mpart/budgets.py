@@ -2,12 +2,12 @@
 summation.
 
 Both budgets are soft limits protecting callers from accidentally huge
-computations; they can be overridden per call or through the environment
-variables ``MPART_ENUM_BUDGET`` (partitions materialized or walked per
-enumeration call) and ``MPART_LOOP_BUDGET`` (innermost steps per literal
-nested summation).  ``MPART_ENUM_BUDGET`` also caps the ``upto`` of the
-table routes ``recurrence_table`` and ``count_b_gf``, which check it
-before allocating their upto + 1 entries.
+computations.  They are set only through the environment variables
+``MPART_ENUM_BUDGET`` (partitions materialized or walked per enumeration
+call) and ``MPART_LOOP_BUDGET`` (innermost steps per literal nested
+summation), for library calls and the CLI alike, and read at each call.
+``MPART_ENUM_BUDGET`` also caps the ``upto`` of the table routes
+``recurrence_table`` and ``count_b_gf``, checked before allocating.
 """
 
 import os
@@ -51,12 +51,10 @@ def _decimal(text: str) -> int:
     return value
 
 
-def _budget(variable: str, default: int, override: int | None) -> int:
-    """The override, else the variable's value, else the default; a value
-    that is not a nonnegative integer raises ValueError naming the variable
-    and showing the value, its first 40 characters and length if longer."""
-    if override is not None:
-        return override
+def _budget(variable: str, default: int) -> int:
+    """The variable's value, else the default; a value that is not a
+    nonnegative integer raises ValueError naming the variable and showing
+    the value, its first 40 characters and length if longer."""
     text = os.environ.get(variable)
     try:
         value = default if text is None else _decimal(text)
@@ -68,12 +66,12 @@ def _budget(variable: str, default: int, override: int | None) -> int:
     return value
 
 
-def enum_budget(override: int | None = None) -> int:
-    return _budget(ENUM_BUDGET_ENV, DEFAULT_ENUM_BUDGET, override)
+def enum_budget() -> int:
+    return _budget(ENUM_BUDGET_ENV, DEFAULT_ENUM_BUDGET)
 
 
-def loop_budget(override: int | None = None) -> int:
-    return _budget(LOOP_BUDGET_ENV, DEFAULT_LOOP_BUDGET, override)
+def loop_budget() -> int:
+    return _budget(LOOP_BUDGET_ENV, DEFAULT_LOOP_BUDGET)
 
 
 def shown(value: int) -> str:

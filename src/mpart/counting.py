@@ -41,10 +41,9 @@ from . import kernels
 
 
 def _check_table_size(m: int, upto: int) -> None:
-    if m < 2:
-        raise ValueError(f"base must be >= 2, got {m}")
-    if upto < 0:
-        raise ValueError(f"upto must be nonnegative, got {upto}")
+    """(m, upto) through ``to_base``, as any count checks (m, n), then the
+    upto + 1 entries against ``MPART_ENUM_BUDGET`` before allocating."""
+    to_base(m, upto)
     cap = enum_budget()
     if upto > cap:
         raise TableBudgetExceeded(
@@ -153,17 +152,17 @@ def b_estimate(m: int, n: int, cap: int) -> int:
     return count_b_poly(m, n)
 
 
-def count_b_nested(m: int, n: int, budget: int | None = None) -> int:
+def count_b_nested(m: int, n: int) -> int:
     """Literal evaluation of the chained sums over k_j..k_1.
 
-    The innermost step count equals the answer itself, so the step budget
-    is checked up front (against the lower bound n//m + 1 or the
-    polynomial count, see ``b_estimate``); the walker keeps its own count
-    against the same budget.  n < m takes the same path, one step, so
+    The innermost step count equals the answer itself, so
+    ``MPART_LOOP_BUDGET`` is checked up front (against the lower bound
+    n//m + 1 or the polynomial count, see ``b_estimate``); the walker keeps
+    its own count against it.  n < m takes the same path, one step, so
     budget 0 refuses it too.
     """
     to_base(m, n)
-    cap = loop_budget(budget)
+    cap = loop_budget()
     estimate = b_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(
@@ -183,16 +182,16 @@ def count_c_poly(m: int, n: int, modulus: int | None = None) -> int:
     return 1 + total if modulus is None else (1 + total) % modulus
 
 
-def count_c_nested(m: int, n: int, budget: int | None = None) -> int:
+def count_c_nested(m: int, n: int) -> int:
     """Literal evaluation of the gap-free strata sums.
 
-    Innermost steps total one less than the answer; the budget pre-check
-    uses the plain partition count as an upper bound (gap-free partitions
-    are a subset), keeping the guard independent of both gap-free routes.
-    So budget 0 refuses every n, n < m included.
+    Innermost steps total one less than the answer; the pre-check of
+    ``MPART_LOOP_BUDGET`` uses the plain partition count as an upper bound
+    (gap-free partitions are a subset), keeping the guard independent of
+    both gap-free routes.  So budget 0 refuses every n, n < m included.
     """
     to_base(m, n)
-    cap = loop_budget(budget)
+    cap = loop_budget()
     estimate = b_estimate(m, n, cap)
     if estimate > cap:
         raise LoopBudgetExceeded(

@@ -73,13 +73,13 @@ def is_gap_free(p: MaryPartition) -> bool:
     return all(lam > 0 for lam in p.mults)
 
 
-def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition]:
+def enumerate_b(m: int, n: int) -> list[MaryPartition]:
     """All m-ary partitions of n, in descending lexicographic order on the
     multiplicity tuple read largest exponent first (padded to the top
     exponent of n).
 
-    Raises EnumerationBudgetExceeded before any partition is built when
-    b(m, n) exceeds the budget, as counted by ``kernels.walk_partitions``;
+    Raises EnumerationBudgetExceeded, before any partition is built, when
+    b(m, n) by ``kernels.walk_partitions`` exceeds ``MPART_ENUM_BUDGET``;
     formula-based counting should be used instead.  A second walk of the
     same walker then builds the partitions at its leaves.
     """
@@ -87,7 +87,7 @@ def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    cap = enum_budget(budget)
+    cap = enum_budget()
     kernels.walk_partitions(m, n, cap)
     out: list[MaryPartition] = []
     kernels.walk_partitions(m, n, cap, lambda mults: out.append(
@@ -95,7 +95,7 @@ def enumerate_b(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     return out
 
 
-def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition]:
+def enumerate_c(m: int, n: int) -> list[MaryPartition]:
     """The gap-free subset of enumerate_b(m, n), in the same order.
 
     Generated directly, stratum by stratum of ``kernels.walk_gapfree``:
@@ -103,15 +103,15 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     m**0..m**r with every multiplicity raised by one.  Largest part first,
     that is enumerate_b's order.
 
-    Raises EnumerationBudgetExceeded before any partition is built when
-    c(m, n) exceeds the budget, as counted by ``kernels.walk_gapfree``; a
+    Raises EnumerationBudgetExceeded, before any partition is built, when
+    c(m, n) by ``kernels.walk_gapfree`` exceeds ``MPART_ENUM_BUDGET``; a
     second walk of the same walker then builds the partitions at its leaves.
     """
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    cap = enum_budget(budget)
+    cap = enum_budget()
     kernels.walk_gapfree(m, n, cap)
     out: list[MaryPartition] = []
     kernels.walk_gapfree(m, n, cap, lambda mults: out.append(
@@ -119,22 +119,22 @@ def enumerate_c(m: int, n: int, budget: int | None = None) -> list[MaryPartition
     return out
 
 
-def count_b_enum(m: int, n: int, budget: int | None = None) -> int:
+def count_b_enum(m: int, n: int) -> int:
     """|enumerate_b(m, n)| computed by the same multiplicity walk without
     materializing the partitions (``kernels.walk_partitions``), which
-    refuses in O(1) when n//m + 1 already exceeds the budget and otherwise
-    stops as soon as its count passes it.  At n = 0 the walk has one leaf,
-    the empty partition, which it counts against the budget like any
-    other."""
+    refuses in O(1) when n//m + 1 already exceeds ``MPART_ENUM_BUDGET`` and
+    otherwise stops as soon as its count passes it.  At n = 0 the walk has
+    one leaf, the empty partition, which it counts against the budget like
+    any other."""
     to_base(m, n)
-    return kernels.walk_partitions(m, n, enum_budget(budget))
+    return kernels.walk_partitions(m, n, enum_budget())
 
 
-def count_c_enum(m: int, n: int, budget: int | None = None) -> int:
+def count_c_enum(m: int, n: int) -> int:
     """|enumerate_c(m, n)| by the same strata of the multiplicity walk
     without materializing (``kernels.walk_gapfree``), which refuses in O(1)
-    when (n-1)//m + 1 already exceeds the budget.  At n = 0 the walk has
-    one leaf, the empty partition, counted against the budget like any
-    other."""
+    when (n-1)//m + 1 already exceeds ``MPART_ENUM_BUDGET``.  At n = 0 the
+    walk has one leaf, the empty partition, counted against the budget like
+    any other."""
     to_base(m, n)
-    return kernels.walk_gapfree(m, n, enum_budget(budget))
+    return kernels.walk_gapfree(m, n, enum_budget())

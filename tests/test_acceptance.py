@@ -83,7 +83,8 @@ def test_criterion_3_gap_free_count_and_congruence(capsys):
     _report(3, ok, f"c(5,2425)=230358 and residue 3=3, {elapsed:.2f}s")
 
 
-def test_criterion_4_four_way_b_agreement():
+def test_criterion_4_four_way_b_agreement(set_budget):
+    set_budget(SWEEP_LOOP_BUDGET)
     start = time.perf_counter()
     failures = 0
     nested_runs = 0
@@ -95,7 +96,7 @@ def test_criterion_4_four_way_b_agreement():
             if gf[n] != expected or count_b_poly(m, n) != expected:
                 failures += 1
             try:
-                nested = count_b_nested(m, n, budget=SWEEP_LOOP_BUDGET)
+                nested = count_b_nested(m, n)
             except LoopBudgetExceeded:
                 continue
             nested_runs += 1

@@ -8,8 +8,15 @@ import pytest
 
 from mpart import kernels
 from mpart.bijection import enumerate_members
-from mpart.budgets import ENUM_BUDGET_ENV, LOOP_BUDGET_ENV, BudgetExceeded
-from mpart.counting import count_b_nested, count_b_poly, count_c_nested, count_c_poly
+from mpart.budgets import BudgetExceeded
+from mpart.counting import (
+    count_b_gf,
+    count_b_nested,
+    count_b_poly,
+    count_c_nested,
+    count_c_poly,
+    recurrence_table,
+)
 from mpart.partitions import count_b_enum, count_c_enum, enumerate_b, enumerate_c
 from mpart.polysum import IntPolynomial, compose_affine_transposed
 
@@ -18,29 +25,30 @@ WALKERS = (kernels.nested_sum_b, kernels.nested_sum_c, kernels.walk_partitions,
 POLY = (count_b_poly, count_c_poly)
 BUDGETED = (count_b_nested, count_c_nested, count_b_enum, count_c_enum, enumerate_b,
             enumerate_c, enumerate_members)
+TABLES = (recurrence_table, count_b_gf)
 
-# (entry point, its third argument: the walker's cap, the modulus or the budget)
+# (entry point, its third argument: the walker's cap or the modulus, or the
+# value its budget variable is set to, None for the variable as ``env`` left it)
 ENTRIES = [
     *[(f, cap) for f in WALKERS for cap in (0, 10)],
     *[(f, modulus) for f in POLY for modulus in (None, 0, 2)],
     *[(f, budget) for f in BUDGETED for budget in (None, 0)],
+    *[(f, None) for f in TABLES],
 ]
 
 
 @pytest.mark.parametrize("env", [None, "abc"], ids=["env-unset", "env-abc"])
 @pytest.mark.parametrize("entry, third", ENTRIES,
                          ids=[f"{f.__name__}-{third}" for f, third in ENTRIES])
-def test_argument_gate(monkeypatch, entry, third, env):
-    for variable in (ENUM_BUDGET_ENV, LOOP_BUDGET_ENV):
-        if env is None:
-            monkeypatch.delenv(variable, raising=False)
-        else:
-            monkeypatch.setenv(variable, env)
+def test_argument_gate(set_budget, entry, third, env):
+    budgeted = entry in BUDGETED + TABLES
+    set_budget(third if budgeted and third is not None else env)
+    args = () if budgeted else (third,)
     for m in (-2, 0, 1, 2, 3):
         for n in (-2, 0, 1, 5, 2**70):
             start = time.perf_counter()
             try:
-                entry(m, n, third)
+                entry(m, n, *args)
                 error = None
             except (ValueError, BudgetExceeded) as exc:
                 error = exc

@@ -162,14 +162,18 @@ def test_members_all_satisfy_bounds():
             assert is_member(b)
 
 
-def test_enumerate_members_checks_its_budget_before_the_walk():
+def test_enumerate_members_checks_its_budget_before_the_walk(set_budget):
     # the members are in bijection with the partitions, so b(m, n) is the
     # exact number the budget is checked against
     for m, n in ((2, 100), (3, 200), (5, 60)):
+        set_budget(None)
         b = recurrence_table(m, n)[n]
-        assert len(enumerate_members(m, n, budget=b)) == b
+        set_budget(b)
+        assert len(enumerate_members(m, n)) == b
+        set_budget(b - 1)
         with pytest.raises(EnumerationBudgetExceeded):
-            enumerate_members(m, n, budget=b - 1)
+            enumerate_members(m, n)
+    set_budget(None)
     for n in (2**70, 10**12):
         start = time.perf_counter()
         with pytest.raises(EnumerationBudgetExceeded):
@@ -177,19 +181,22 @@ def test_enumerate_members_checks_its_budget_before_the_walk():
         assert time.perf_counter() - start < 1.0
 
 
-def test_enumerate_members_checks_its_budget_below_the_base():
+def test_enumerate_members_checks_its_budget_below_the_base(set_budget):
     # n < m has the one empty sequence, and it is counted like any other
+    set_budget(0)
     with pytest.raises(EnumerationBudgetExceeded) as info:
-        enumerate_members(3, 2, budget=0)
+        enumerate_members(3, 2)
     assert str(info.value) == "more than 0 sequences for n=2 in base 3"
     with pytest.raises(EnumerationBudgetExceeded):
-        enumerate_b(3, 2, budget=0)
-    assert enumerate_members(3, 2, budget=1) == [BetaSeq(3, 2, ())]
+        enumerate_b(3, 2)
+    set_budget(1)
+    assert enumerate_members(3, 2) == [BetaSeq(3, 2, ())]
+    set_budget(None)
     with pytest.raises(ValueError, match="n must be positive, got 0"):
         enumerate_members(3, 0)
 
 
-def test_enumerate_members_borrows_nothing_from_the_formulas(monkeypatch):
+def test_enumerate_members_borrows_nothing_from_the_formulas(monkeypatch, set_budget):
     # the sequences are checked against count_b_poly elsewhere, so neither
     # their enumeration nor its budget check may go through it
     def fail(m, n):
@@ -197,6 +204,7 @@ def test_enumerate_members_borrows_nothing_from_the_formulas(monkeypatch):
 
     monkeypatch.setattr(counting, "count_b_poly", fail)
     assert len(enumerate_members(3, 100)) == 402
+    set_budget(401)
     with pytest.raises(EnumerationBudgetExceeded) as info:
-        enumerate_members(3, 100, budget=401)
+        enumerate_members(3, 100)
     assert str(info.value) == "more than 401 sequences for n=100 in base 3"

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -570,3 +572,33 @@ def test_shared_parser_wraps_usage_at_the_width_of_the_error(capsys, monkeypatch
     assert main(["digits", "--base", "2", "--n", "5"]) == 0
     capsys.readouterr()
     test_invalid_choice_usage_is_pinned(capsys, monkeypatch, "suite")
+
+
+# (budget variables, argv, exit code, stdout, stderr or, for a usage error,
+# its first line's start: argparse's wording varies across Python versions)
+PROCESS_RUNS = {
+    "answer": ({}, "digits --base 4 --n 36", 0, "2,1,0\n", ""),
+    "refusal": ({"MPART_ENUM_BUDGET": "500"},
+                "count --kind b --base 2 --n 2000 --method enumerate", 2, "",
+                "error: more than 500 partitions of 2000 in base 2\nfallback: --method poly\n"),
+    "malformed-budget": ({"MPART_LOOP_BUDGET": "abc"},
+                         "count --kind b --base 2 --n 10 --method nested", 2, "",
+                         "error: MPART_LOOP_BUDGET must be a nonnegative integer, got 'abc'\n"),
+    "usage": ({}, "verify --suite nope --n-range 1..2", 2, "", "usage: mpart verify"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROCESS_RUNS))
+def test_cli_as_a_process(case):
+    budgets, argv, code, out, err = PROCESS_RUNS[case]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("MPART_ENUM_BUDGET", "MPART_LOOP_BUDGET")}
+    env.update(budgets, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "mpart.cli", *argv.split()],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout) == (code, out)
+    if case == "usage":
+        assert result.stderr.startswith(err)
+    else:
+        assert result.stderr == err

@@ -200,7 +200,8 @@ def test_poly_counts_are_one_below_the_base():
             assert count_b_poly(m, n) == count_c_poly(m, n) == 1
 
 
-def test_four_way_agreement_medium_grid():
+def test_four_way_agreement_medium_grid(set_budget):
+    set_budget(10**6)
     nested_runs = 0
     for m in (2, 3, 4, 5):
         top = 400
@@ -210,7 +211,7 @@ def test_four_way_agreement_medium_grid():
             assert gf[n] == table[n]
             assert count_b_poly(m, n) == table[n]
             try:
-                nested = count_b_nested(m, n, budget=10**6)
+                nested = count_b_nested(m, n)
             except LoopBudgetExceeded:
                 continue
             nested_runs += 1
@@ -267,11 +268,13 @@ def test_counts_match_enumerations():
             assert count_c_poly(m, n) == len(enumerate_c(m, n))
 
 
-def test_nested_budget_raises():
+def test_nested_budget_raises(set_budget):
     with pytest.raises(LoopBudgetExceeded):
         count_b_nested(2, 100000)
+    set_budget(100)
     with pytest.raises(LoopBudgetExceeded):
-        count_b_nested(2, 300, budget=100)
+        count_b_nested(2, 300)
+    set_budget(None)
     with pytest.raises(LoopBudgetExceeded):
         count_c_nested(2, 100000)
 
@@ -286,20 +289,22 @@ def test_nested_refuses_huge_n_at_once():
         assert time.perf_counter() - start < 1.0
 
 
-def test_nested_refusal_is_exact():
+def test_nested_refusal_is_exact(set_budget):
     # refused exactly when b(m, n) exceeds the budget, by either pre-check
     for m, n in ((2, 300), (3, 1000), (5, 2425)):
         b = count_b_poly(m, n)
-        assert count_b_nested(m, n, budget=b) == b
-        assert count_c_nested(m, n, budget=b) == count_c_poly(m, n)
+        set_budget(b)
+        assert count_b_nested(m, n) == b
+        assert count_c_nested(m, n) == count_c_poly(m, n)
         for budget in (b - 1, n // m):
+            set_budget(budget)
             with pytest.raises(LoopBudgetExceeded):
-                count_b_nested(m, n, budget=budget)
+                count_b_nested(m, n)
             with pytest.raises(LoopBudgetExceeded):
-                count_c_nested(m, n, budget=budget)
+                count_c_nested(m, n)
 
 
-def test_brute_force_routes_check_their_budget_below_the_base():
+def test_brute_force_routes_check_their_budget_below_the_base(set_budget):
     # n < m has one partition and one sequence, walked like any other, so
     # budget 0 refuses it and budget 1 lets it through
     counters = ((count_b_nested, LoopBudgetExceeded), (count_c_nested, LoopBudgetExceeded),
@@ -307,17 +312,19 @@ def test_brute_force_routes_check_their_budget_below_the_base():
                 (count_c_enum, EnumerationBudgetExceeded))
     enumerations = (enumerate_b, enumerate_c, enumerate_members)
     for m in (2, 3, 10):
+        set_budget(0)
         for n in (0, 1, m - 1, m):
             for count, refusal in counters:
                 with pytest.raises(refusal):
-                    count(m, n, budget=0)
+                    count(m, n)
             if n > 0:
                 for enumerate_ in enumerations:
                     with pytest.raises(EnumerationBudgetExceeded):
-                        enumerate_(m, n, budget=0)
+                        enumerate_(m, n)
+        set_budget(1)
         for n in range(m):
             for count, _ in counters:
-                assert count(m, n, budget=1) == 1
+                assert count(m, n) == 1
 
 
 def test_table_routes_refuse_past_the_enumeration_budget(monkeypatch):

@@ -95,11 +95,12 @@ def test_enumerate_c_stratified_by_top_exponent():
     assert by_top == {0: 1, 1: 18, 2: 32}
 
 
-def test_enumeration_count_matches_recurrence():
+def test_enumeration_count_matches_recurrence(set_budget):
+    set_budget(10**6)
     for m in (2, 3, 4, 5):
         table = recurrence_table(m, 200)
         for n in range(1, 201):
-            assert len(enumerate_b(m, n, budget=10**6)) == table[n]
+            assert len(enumerate_b(m, n)) == table[n]
 
 
 def test_walk_counts_match_enumerations():
@@ -109,15 +110,17 @@ def test_walk_counts_match_enumerations():
             assert count_c_enum(m, n) == len(enumerate_c(m, n))
 
 
-def test_budget_guard():
+def test_budget_guard(set_budget):
+    set_budget(100)
     with pytest.raises(EnumerationBudgetExceeded):
-        enumerate_b(2, 500, budget=100)
+        enumerate_b(2, 500)
     with pytest.raises(EnumerationBudgetExceeded):
-        count_b_enum(2, 500, budget=100)
+        count_b_enum(2, 500)
+    set_budget(50)
     with pytest.raises(EnumerationBudgetExceeded):
-        enumerate_c(2, 4000, budget=50)
+        enumerate_c(2, 4000)
     with pytest.raises(EnumerationBudgetExceeded):
-        count_c_enum(2, 4000, budget=50)
+        count_c_enum(2, 4000)
 
 
 def test_zero_and_negative_n():
@@ -134,13 +137,17 @@ def test_zero_and_negative_n():
                     call(m, n)
 
 
-def test_enumerate_b_checks_its_budget_before_the_walk():
+def test_enumerate_b_checks_its_budget_before_the_walk(set_budget):
     # refused exactly when b(m, n) exceeds the budget, and at once for huge n
     for m, n in ((2, 100), (3, 200), (5, 60)):
+        set_budget(None)
         b = recurrence_table(m, n)[n]
-        assert len(enumerate_b(m, n, budget=b)) == b
+        set_budget(b)
+        assert len(enumerate_b(m, n)) == b
+        set_budget(b - 1)
         with pytest.raises(EnumerationBudgetExceeded):
-            enumerate_b(m, n, budget=b - 1)
+            enumerate_b(m, n)
+    set_budget(None)
     for n in (2**70, 10**12):
         start = time.perf_counter()
         with pytest.raises(EnumerationBudgetExceeded):
@@ -148,13 +155,16 @@ def test_enumerate_b_checks_its_budget_before_the_walk():
         assert time.perf_counter() - start < 1.0
 
 
-def test_enumerate_c_checks_its_budget_before_the_walk():
+def test_enumerate_c_checks_its_budget_before_the_walk(set_budget):
     # refused exactly when c(m, n) exceeds the budget, and at once for huge n
     for m, n in ((2, 100), (3, 200), (5, 60)):
         c = count_c_poly(m, n)
-        assert len(enumerate_c(m, n, budget=c)) == c
+        set_budget(c)
+        assert len(enumerate_c(m, n)) == c
+        set_budget(c - 1)
         with pytest.raises(EnumerationBudgetExceeded):
-            enumerate_c(m, n, budget=c - 1)
+            enumerate_c(m, n)
+    set_budget(None)
     for n in (2**70, 10**12):
         start = time.perf_counter()
         with pytest.raises(EnumerationBudgetExceeded):

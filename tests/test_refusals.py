@@ -12,60 +12,61 @@ from mpart.partitions import count_b_enum, count_c_enum, enumerate_b, enumerate_
 HUGE = 2**70  # 1180591620717411303424; its floor 2**69 + 1 exceeds every budget below
 FLOOR = "590295810358705651713"
 
-# (3, 100): b = 402, c = 316; each budget is the count minus one
+# (call, budget, class, text); (3, 100): b = 402, c = 316, each budget the count minus one
 LIBRARY_REFUSALS = {
     "count_b_enum-floor": (
-        lambda: count_b_enum(2, HUGE, budget=10**6), EnumerationBudgetExceeded,
+        lambda: count_b_enum(2, HUGE), 10**6, EnumerationBudgetExceeded,
         "more than 1000000 partitions of 1180591620717411303424 in base 2"),
     "count_c_enum-floor": (
-        lambda: count_c_enum(2, HUGE, budget=10**6), EnumerationBudgetExceeded,
+        lambda: count_c_enum(2, HUGE), 10**6, EnumerationBudgetExceeded,
         "more than 1000000 gap-free partitions of 1180591620717411303424 in base 2"),
     "enumerate_b-floor": (
-        lambda: enumerate_b(2, HUGE, budget=10**6), EnumerationBudgetExceeded,
+        lambda: enumerate_b(2, HUGE), 10**6, EnumerationBudgetExceeded,
         "more than 1000000 partitions of 1180591620717411303424 in base 2"),
     "enumerate_c-floor": (
-        lambda: enumerate_c(2, HUGE, budget=10**6), EnumerationBudgetExceeded,
+        lambda: enumerate_c(2, HUGE), 10**6, EnumerationBudgetExceeded,
         "more than 1000000 gap-free partitions of 1180591620717411303424 in base 2"),
     "enumerate_members-floor": (
-        lambda: enumerate_members(2, HUGE, budget=10**6), EnumerationBudgetExceeded,
+        lambda: enumerate_members(2, HUGE), 10**6, EnumerationBudgetExceeded,
         "more than 1000000 sequences for n=1180591620717411303424 in base 2"),
     "count_b_nested-floor": (
-        lambda: count_b_nested(2, HUGE, budget=10**8), LoopBudgetExceeded,
+        lambda: count_b_nested(2, HUGE), 10**8, LoopBudgetExceeded,
         f"nested summation for base 2, n=1180591620717411303424 needs at least {FLOOR} "
         "innermost steps (budget 100000000); use count_b_poly"),
     "count_c_nested-floor": (
-        lambda: count_c_nested(2, HUGE, budget=10**8), LoopBudgetExceeded,
+        lambda: count_c_nested(2, HUGE), 10**8, LoopBudgetExceeded,
         "nested summation for base 2, n=1180591620717411303424 could need up to "
         f"b(2, n) >= {FLOOR} innermost steps (budget 100000000); use count_c_poly"),
     "count_b_enum-count": (
-        lambda: count_b_enum(3, 100, budget=401), EnumerationBudgetExceeded,
+        lambda: count_b_enum(3, 100), 401, EnumerationBudgetExceeded,
         "more than 401 partitions of 100 in base 3"),
     "count_c_enum-count": (
-        lambda: count_c_enum(3, 100, budget=315), EnumerationBudgetExceeded,
+        lambda: count_c_enum(3, 100), 315, EnumerationBudgetExceeded,
         "more than 315 gap-free partitions of 100 in base 3"),
     "enumerate_b-count": (
-        lambda: enumerate_b(3, 100, budget=401), EnumerationBudgetExceeded,
+        lambda: enumerate_b(3, 100), 401, EnumerationBudgetExceeded,
         "more than 401 partitions of 100 in base 3"),
     "enumerate_c-count": (
-        lambda: enumerate_c(3, 100, budget=315), EnumerationBudgetExceeded,
+        lambda: enumerate_c(3, 100), 315, EnumerationBudgetExceeded,
         "more than 315 gap-free partitions of 100 in base 3"),
     "enumerate_members-count": (
-        lambda: enumerate_members(3, 100, budget=401), EnumerationBudgetExceeded,
+        lambda: enumerate_members(3, 100), 401, EnumerationBudgetExceeded,
         "more than 401 sequences for n=100 in base 3"),
     "count_b_nested-count": (
-        lambda: count_b_nested(3, 100, budget=401), LoopBudgetExceeded,
+        lambda: count_b_nested(3, 100), 401, LoopBudgetExceeded,
         "nested summation for base 3, n=100 needs at least 402 innermost steps "
         "(budget 401); use count_b_poly"),
     "count_c_nested-count": (
-        lambda: count_c_nested(3, 100, budget=315), LoopBudgetExceeded,
+        lambda: count_c_nested(3, 100), 315, LoopBudgetExceeded,
         "nested summation for base 3, n=100 could need up to b(3, n) >= 402 "
         "innermost steps (budget 315); use count_c_poly"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
-def test_library_refusal_is_pinned(case):
-    call, cls, text = LIBRARY_REFUSALS[case]
+def test_library_refusal_is_pinned(set_budget, case):
+    call, budget, cls, text = LIBRARY_REFUSALS[case]
+    set_budget(budget)
     with pytest.raises(cls) as info:
         call()
     assert type(info.value) is cls
