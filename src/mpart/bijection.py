@@ -109,12 +109,17 @@ def enumerate_members(m: int, n: int) -> list[BetaSeq]:
     """Every sequence satisfying the chained bounds, in ascending
     lexicographic order on (beta_j, ..., beta_1), by bounded nested loops.
 
+    n must be positive, as for ``BetaSeq``; that is checked before the
+    budget, so n = 0 is refused as such at every budget.
+
     ``MPART_ENUM_BUDGET`` is checked, after (m, n), before any sequence is
     built by the nested-sum walker (``kernels.nested_sum_b``), which counts
     the sequences without materializing them, so the check borrows nothing
     from the formulas the sequences are checked against; a second walk then
     builds them at its leaves."""
     j = to_base(m, n).j
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget()
     try:
         kernels.nested_sum_b(m, n, cap)

@@ -18,10 +18,17 @@ the nested sums; for the partition walks, which recurse over part
 multiplicities, the choice of lambda_1, with lambda_0 taking the rest.
 Steps are counted one per leaf, so the step total equals the count.
 
+Only without a leaf, the level above the innermost is iterated in one
+``sum(range(...))``, which runs its loop in C: it steps through every
+value of that level's variable and adds the innermost range lengths, with
+no closed form.  The steps grow by that sum before the one cap check;
+steps only grow, so a walk raises exactly when its total passes cap.
+
 The walks are also the enumerations' only loops: given ``leaf``, a walk
-iterates the innermost range too, after its step check, and calls
-leaf(buffer) at each leaf with the loop variables in one buffer rewritten
-in place, ``ks`` (ks[t-1] = k_t) or ``mults`` (mults[t] = lambda_t).
+iterates every level above the innermost in Python, and the innermost
+range too, after its step check, and calls leaf(buffer) at each leaf with
+the loop variables in one buffer rewritten in place, ``ks`` (ks[t-1] =
+k_t) or ``mults`` (mults[t] = lambda_t).
 
 The two nested sums share one chained recursion over the chain that
 ``chain`` derives: b's single chain, or the gap-free strata counted from
@@ -66,7 +73,9 @@ def chain(m: int, n: int, gapfree: bool) -> tuple[tuple[int, ...], tuple[tuple[i
 def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, leaf=None) -> int:
     """Leaf count of the chained loops of ``chain``, raising
     LoopBudgetExceeded(refusal) once it passes cap; leaves come in ascending
-    lexicographic order on (k_r, ..., k_1)."""
+    lexicographic order on (k_r, ..., k_1).  Without a leaf, the k_2 loop
+    is one range over the k_1 range lengths offset + m*k_2 + 1; its bound
+    -1 leaves it empty."""
     ks = [0] * len(offsets)
     steps = 0
 
@@ -81,8 +90,14 @@ def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, leaf=None) -> i
                     ks[0] = k
                     leaf(ks)
             return bound + 1
-        total = 0
         offset = offsets[t - 1]
+        if t == 2 and leaf is None:
+            total = sum(range(offset + 1, offset + 2 + m * bound, m))
+            steps += total
+            if steps > cap:
+                raise LoopBudgetExceeded(refusal)
+            return total
+        total = 0
         for k in range(bound + 1):
             ks[t - 1] = k
             total += walk(t - 1, offset + m * k)
@@ -116,7 +131,8 @@ def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, leaf=No
     """Number of partitions of n into parts m**0..m**top by the multiplicity
     recursion, raising EnumerationBudgetExceeded(refusal) once it passes cap;
     leaves come in descending lexicographic order on (lambda_top, ...,
-    lambda_0)."""
+    lambda_0).  Without a leaf, the lambda_2 loop is one range over the
+    lambda_1 range lengths rem//m - m*lambda_2 + 1."""
     powers = [m**t for t in range(top + 1)]
     mults = [0] * (top + 1)
     steps = 0
@@ -136,6 +152,12 @@ def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, leaf=No
                     mults[0] = rem - lam * m
                     leaf(mults)
             return count
+        if t == 2 and leaf is None:
+            total = sum(range(rem // m + 1, 0, -m))
+            steps += total
+            if steps > cap:
+                raise EnumerationBudgetExceeded(refusal)
+            return total
         total = 0
         power = powers[t]
         for lam in range(rem // power, -1, -1):

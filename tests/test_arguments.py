@@ -69,3 +69,14 @@ def test_stride_below_one_is_refused(a, transposed):
             compose_affine_transposed([1, 2, 3], a, 1)
         else:
             IntPolynomial((1, 2, 3)).compose_affine(a, 1)
+
+
+@pytest.mark.parametrize("budget", [0, 1, None], ids=["budget-0", "budget-1", "default"])
+def test_enumerate_members_names_n_before_its_budget(set_budget, budget):
+    # n = 0 has no sequence type to build, and that fault comes before the
+    # budget walk at every budget, as in enumerate_b
+    set_budget(budget)
+    with pytest.raises(ValueError) as info:
+        enumerate_members(3, 0)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "n must be positive, got 0"

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpart import bijection, budgets, counting, kernels, partitions
+from mpart.bijection import phi
 from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, TableBudgetExceeded
 from mpart.counting import count_c_poly, recurrence_table
+from mpart.radix import to_base
 
 
 def test_python_walker_leaf_counts_match_recurrence():
@@ -124,6 +126,58 @@ def test_partition_walkers_refuse_n_deeper_than_the_recursion_limit():
         assert time.perf_counter() - start < 1.0
 
 
+# Without a leaf, each walker iterates the level above the innermost in one
+# range; every case has j >= 3, so literal levels sit above that pair.  The
+# gap-free chains reach the pair's empty ranges: an innermost offset a_1 = -1
+# ((2, 10), (2, 26), (3, 30)), a bound of -1 handed to the pair by a_2 = -1 at
+# k_3 = 0 ((2, 12), (2, 100), (3, 36), (3, 200)), and a stratum top of -1
+# above it ((2, 8), (3, 27), (4, 64), (4, 300)).
+PAIR_CASES = [(2, 8), (2, 10), (2, 12), (2, 26), (2, 100), (3, 27), (3, 30), (3, 36),
+              (3, 200), (4, 64), (4, 300), (5, 250), (7, 1000)]
+
+
+def test_pair_cases_reach_the_empty_ranges():
+    assert all(to_base(m, n).j >= 3 for m, n in PAIR_CASES)
+    chains = [kernels.chain(m, n, gapfree=True) for m, n in PAIR_CASES]
+    assert any(offsets[1] == -1 for offsets, _ in chains)
+    assert any(offsets[2] == -1 for offsets, _ in chains)
+    assert any(top == -1 for _, strata in chains for _, top in strata)
+
+
+@pytest.mark.parametrize("m, n", PAIR_CASES)
+def test_batched_pair_counts_and_refuses_exactly(m, n):
+    b = recurrence_table(m, n)[n]
+    c = len(partitions.enumerate_c(m, n))
+    cases = {
+        kernels.nested_sum_b: (n // m + 1, b, LoopBudgetExceeded),
+        kernels.nested_sum_c: ((n - 1) // m, c - 1, LoopBudgetExceeded),
+        kernels.walk_partitions: (n // m + 1, b, EnumerationBudgetExceeded),
+        kernels.walk_gapfree: ((n - 1) // m + 1, c, EnumerationBudgetExceeded),
+    }
+    for walk, (floor, count, error) in cases.items():
+        assert floor < count, walk  # so the walk itself refuses at count - 1
+        assert walk(m, n, 10**9) == count, walk
+        assert walk(m, n, count) == count, walk
+        with pytest.raises(error):
+            walk(m, n, count - 1)
+
+
+@pytest.mark.parametrize("m, n", PAIR_CASES)
+def test_leaf_walks_visit_every_leaf_in_order(m, n):
+    # with a leaf the pair is iterated literally: b leaves, each a distinct
+    # solution, in each walker's documented order
+    b = recurrence_table(m, n)[n]
+    j = to_base(m, n).j
+    sequences = []
+    assert kernels.nested_sum_b(m, n, b, lambda ks: sequences.append(tuple(ks[:j]))) == b
+    assert sequences == [phi(p, n).betas for p in partitions.enumerate_b(m, n)]
+    assert sequences == sorted(set(sequences), key=lambda ks: ks[::-1])
+    mults = []
+    assert kernels.walk_partitions(m, n, b, lambda lams: mults.append(tuple(lams))) == b
+    assert all(sum(lam * m**t for t, lam in enumerate(lams)) == n for lams in mults)
+    assert mults == sorted(set(mults), key=lambda lams: lams[::-1], reverse=True)
+
+
 @pytest.fixture
 def default_int_str_limit():
     """The interpreter's default int -> str limit, 4300 digits."""
@@ -172,7 +226,7 @@ def test_refusals_past_the_int_str_limit(default_int_str_limit):
 @given(st.integers(2, 10), st.integers(0, 3000))
 def test_walk_partitions_matches_recurrence_property(m, n):
     # b(m, n) can exceed the cap here (b(2, 3000) is about 6e12); the walker
-    # then raises, after about 4 s for m = 2, hence the example count
+    # then raises, after about 0.5 s for m = 2, hence the example count
     cap = 10**9
     b = recurrence_table(m, n)[n]
     if b > cap:
@@ -181,7 +235,7 @@ def test_walk_partitions_matches_recurrence_property(m, n):
     else:
         assert kernels.walk_partitions(m, n, cap) == b
     # the gap-free walk sums the same walk over its strata; at 10**6 it
-    # refuses within about 0.03 s
+    # refuses within about 0.003 s
     c = count_c_poly(m, n)
     if c > 10**6:
         with pytest.raises(EnumerationBudgetExceeded):

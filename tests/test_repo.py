@@ -1,7 +1,9 @@
-"""The repository tracks no file that its own .gitignore excludes, and
-every function the benchmark's tracer wraps still exists."""
+"""The repository tracks no file that its own .gitignore excludes, every
+function the benchmark's tracer wraps still exists, and README installs the
+package as CI does."""
 
 import importlib.util
+import re
 import subprocess
 from pathlib import Path
 
@@ -42,3 +44,17 @@ def test_every_traced_name_resolves():
             if owner is None or not callable(vars(owner).get(attr)):
                 unresolved.append(f"{layer}.{qualname}")
     assert unresolved == []
+
+
+def _pip_installs(text: str) -> list[str]:
+    """The pip install commands of a README code block or a workflow run
+    step, with the extra and its quotes left out."""
+    commands = re.findall(r"^\s*(?:- run: )?(pip install .*?)\s*$", text, re.MULTILINE)
+    return [re.sub(r"\[[^]]*\]|['\"]", "", command) for command in commands]
+
+
+def test_readme_installs_as_ci_does():
+    readme = _pip_installs((ROOT / "README.md").read_text())
+    ci = _pip_installs((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    assert len(ci) == 1
+    assert readme == ci
