@@ -83,8 +83,7 @@ def enumerate_b(m: int, n: int) -> list[MaryPartition]:
     formula-based counting should be used instead.  A second walk of the
     same walker then builds the partitions at its leaves.
     """
-    if m < 2:
-        raise ValueError(f"base must be >= 2, got {m}")
+    to_base(m, n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget()
@@ -107,8 +106,7 @@ def enumerate_c(m: int, n: int) -> list[MaryPartition]:
     c(m, n) by ``kernels.walk_gapfree`` exceeds ``MPART_ENUM_BUDGET``; a
     second walk of the same walker then builds the partitions at its leaves.
     """
-    if m < 2:
-        raise ValueError(f"base must be >= 2, got {m}")
+    to_base(m, n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget()

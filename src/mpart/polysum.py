@@ -7,23 +7,23 @@ lattice-point sums -- prefix sums, affine substitution of the argument, and
 bounded range sums -- all stay in exact integer arithmetic:
 
   * prefix sums are a coefficient shift, by C(0, i) + ... + C(N, i) = C(N+1, i+1);
-  * affine substitution x -> a*k + b is a shift by b made of additions only,
-    by Pascal's rule C(x+1, i) = C(x, i) + C(x, i-1), followed by a scaling
-    x -> a*k through a table of small integers, one per stride a, holding
-    the coefficients of C(a*k, i) in the basis C(k, l);
+  * affine substitution x -> a*k + b is a shift by b (``_shift``, at most
+    d passes over the coefficients at any b) followed by a scaling x -> a*k
+    through a table of small integers, one per stride a, holding the
+    coefficients of C(a*k, i) in the basis C(k, l);
   * a range sum is a difference of two prefix-sum evaluations.
 
 Each of these maps is linear in the coefficients.  Their transposes act on
 covectors, plain lists w paired with coefficients as w . p = sum_i w_i *
 c_i: evaluation at x is the covector (C(x, i))_i, and the transposed
 prefix sum and substitution carry a covector from one level down to the
-level below, the substitution through the rows of the same stride table.
+level below, the substitution through the rows of the same stride table
+and the same shift, reversed.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -60,12 +60,7 @@ class IntPolynomial:
 
     def eval(self, x: int) -> int:
         """Exact value sum_i coeffs[i] * C(x, i) at any integer x."""
-        total = self.coeffs[0]
-        row = 1
-        for i in range(1, len(self.coeffs)):
-            row = row * (x - i + 1) // i
-            total += self.coeffs[i] * row
-        return total
+        return sum(map(mul, self.coeffs, evaluation_covector(x, len(self.coeffs) - 1)))
 
     def prefix_sum(self) -> IntPolynomial:
         """The polynomial q with q(N) = sum_{x=0}^{N} p(x); q(-1) = 0.
@@ -83,22 +78,14 @@ class IntPolynomial:
     def compose_affine(self, a: int, b: int) -> IntPolynomial:
         """The polynomial r with r(k) = p(a*k + b), exactly.
 
-        First the shift q(y) = p(y + b): one unit step p(x) -> p(x + 1)
-        maps c_l to c_l + c_{l+1} (Pascal's rule), and a step back undoes
-        it from the top coefficient down, so |b| steps cost |b|*d additions.
-        Then the scaling r(k) = q(a*k): C(a*k, i) = sum_l T[l][i] * C(k, l)
-        with T[l][i] = [x^i] ((1+x)^a - 1)^l, so r_l = sum_i q_i * T[l][i],
-        one dot product per coefficient against the cached columns of T.
+        First the shift q(y) = p(y + b) (``_shift``).  Then the scaling
+        r(k) = q(a*k): C(a*k, i) = sum_l T[l][i] * C(k, l) with T[l][i] =
+        [x^i] ((1+x)^a - 1)^l, so r_l = sum_i q_i * T[l][i], one dot product
+        per coefficient against the cached columns of T.
         """
-        c = list(self.coeffs)
-        d = len(c) - 1
+        d = len(self.coeffs) - 1
         columns, _ = _grown_scaling_table(a, d)
-        for _ in range(b):
-            for l in range(d):
-                c[l] += c[l + 1]
-        for _ in range(-b):
-            for l in range(d - 1, -1, -1):
-                c[l] -= c[l + 1]
+        c = _shift(self.coeffs, b)
         return IntPolynomial.from_coeffs(
             [sum(map(mul, c[l:], columns[l])) for l in range(d + 1)]
         )
@@ -137,20 +124,34 @@ def compose_affine_transposed(w: list[int], a: int, b: int) -> list[int]:
 
     The scaling's transpose is one dot product per row of the stride
     table, u_i = sum_l T[l][i] * w_l over l = ceil(i/a) .. i.  Then the
-    shift's: a unit step forward, c_l += c_{l+1} from the bottom up, is
-    u_{l+1} += u_l from the top down, and a step back undoes one from the
-    bottom up.
+    shift's: its matrix is Toeplitz, so its transpose is the same shift
+    on the reversed covector (``_shift``), reversed back.
     """
     d = len(w) - 1
     _, rows = _grown_scaling_table(a, d)
     u = [sum(map(mul, w[-(-i // a):], rows[i])) for i in range(d + 1)]
+    return _shift(u[::-1], b)[::-1]
+
+
+def _shift(c, b: int) -> list[int]:
+    """The coefficients of p(x + b) from those c_0 .. c_d of p, as a new list:
+    c'_l = sum_k C(b, k) * c_{l+k} (Vandermonde), for either sign of b.
+    While |b| <= d that is |b| unit passes of Pascal's rule (a step forward
+    maps c_l to c_l + c_{l+1} from the bottom up; a step back undoes one
+    from the top down).  Past d, Delta^(d+1) p = 0 bounds the taps, and one
+    pass reads them off as the generalized binomials C(b, 0..d)."""
+    d = len(c) - 1
+    if abs(b) > d:
+        taps = evaluation_covector(b, d)
+        return [sum(map(mul, c[l:], taps)) for l in range(d + 1)]
+    c = list(c)
     for _ in range(b):
-        for l in range(d - 1, -1, -1):
-            u[l + 1] += u[l]
-    for _ in range(-b):
         for l in range(d):
-            u[l + 1] -= u[l]
-    return u
+            c[l] += c[l + 1]
+    for _ in range(-b):
+        for l in range(d - 1, -1, -1):
+            c[l] -= c[l + 1]
+    return c
 
 
 @functools.cache
@@ -176,7 +177,7 @@ def _grown_scaling_table(a: int, d: int) -> tuple[list[list[int]], list[list[int
         raise ValueError("stride a must be positive")
     columns, rows = _scaling_table(a)
     for i in range(len(columns), d + 1):
-        weight = [math.comb(a, s) for s in range(a + 1)]
+        weight = evaluation_covector(a, min(a, i))  # C(a, s), the s it reads
         row = []
         for l in range(-(-i // a), i):
             prev = columns[l - 1]  # T[l-1][x] sits at prev[x - l + 1]

@@ -58,7 +58,7 @@ def test_argument_gate(set_budget, entry, third, env):
                 assert str(error) == f"base must be >= 2, got {m}"
             elif n < 0:
                 assert type(error) is ValueError, (m, n)
-                assert str(error).startswith("n must be "), (m, n)
+                assert str(error) == f"n must be nonnegative, got {n}", (m, n)
 
 
 @pytest.mark.parametrize("a", [0, -1])

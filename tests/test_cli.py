@@ -10,7 +10,7 @@ import pytest
 from mpart import bijection, cli, congruence, counting
 from mpart.cli import main
 from mpart.counting import count_b_poly
-from mpart.partitions import MaryPartition
+from mpart.partitions import MaryPartition, count_c_enum
 from mpart.radix import to_base
 
 GOLDEN = Path(__file__).parent / "golden" / "table_4_36.tsv"
@@ -574,9 +574,44 @@ def test_shared_parser_wraps_usage_at_the_width_of_the_error(capsys, monkeypatch
     test_invalid_choice_usage_is_pinned(capsys, monkeypatch, "suite")
 
 
+def _b_below_cube(m: int, n: int) -> int:
+    """b(m, n) for n < m^3: k2 parts m^2, then any number of parts m."""
+    return sum((n - k2 * m * m) // m + 1 for k2 in range(n // (m * m) + 1))
+
+
+def _c_below_cube(m: int, n: int) -> int:
+    """c(m, n) for 0 < n < m^3: the all-ones partition, then the strata with
+    largest part m and m^2, each holding at least one of every smaller part."""
+    return 1 + (n - 1) // m + sum((n - 1 - k2 * m * m) // m
+                                  for k2 in range(1, (n - 1) // (m * m) + 1))
+
+
+def test_closed_forms_below_the_cube_match_the_tables():
+    for m in range(2, 8):
+        table = counting.recurrence_table(m, m**3 - 1)
+        assert [_b_below_cube(m, n) for n in range(m**3)] == table
+        assert [_c_below_cube(m, n) for n in range(1, m**3)] == [
+            count_c_enum(m, n) for n in range(1, m**3)]
+        assert (_b_below_cube(m, m * m), _c_below_cube(m, m * m)) == (m + 2, m)
+
+
+# a few m^2 parts at most, so the closed forms sum few terms at any base
+LARGE_BASE_NS = {10**3: (10**6, 10**9 - 1), 10**5: (10**10, 31415926535897),
+                 10**9: (10**18, 7 * 10**18 + 12345 * 10**9 + 6)}
+
 # (budget variables, argv, exit code, stdout, stderr or, for a usage error,
 # its first line's start: argparse's wording varies across Python versions)
 PROCESS_RUNS = {
+    **{f"{kind}-{m}-{n}": ({}, f"count --kind {kind} --base {m} --n {n}", 0,
+                           f"{closed(m, n)}\n", "")
+       for m, ns in LARGE_BASE_NS.items() for n in ns
+       for kind, closed in (("b", _b_below_cube), ("c", _c_below_cube))},
+    "large-base-check": ({}, "count --kind b --base 100000 --n 10000000000 --check", 0,
+                         "100002\n", ""),
+    "large-base-afs-b": ({}, "congruence --property afs-b --base 10000 --n 10000", 0,
+                         "predicted=2 actual=2 PASS\n", ""),
+    "large-base-afs-c": ({}, "congruence --property afs-c --base 30000 --n 900000000", 0,
+                         "predicted=1 actual=1 PASS\n", ""),
     "answer": ({}, "digits --base 4 --n 36", 0, "2,1,0\n", ""),
     "refusal": ({"MPART_ENUM_BUDGET": "500"},
                 "count --kind b --base 2 --n 2000 --method enumerate", 2, "",
@@ -595,7 +630,7 @@ def test_cli_as_a_process(case):
            if k not in ("MPART_ENUM_BUDGET", "MPART_LOOP_BUDGET")}
     env.update(budgets, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     result = subprocess.run([sys.executable, "-m", "mpart.cli", *argv.split()],
-                            capture_output=True, text=True, env=env, timeout=60)
+                            capture_output=True, text=True, env=env, timeout=10)
     assert "Traceback" not in result.stderr
     assert (result.returncode, result.stdout) == (code, out)
     if case == "usage":

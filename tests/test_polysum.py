@@ -84,6 +84,10 @@ def test_compose_affine_pointwise():
         r = p.compose_affine(a, b)
         for k in range(21):
             assert r.eval(k) == p.eval(a * k + b)
+    for b in (-50, 50):  # |b| > d, past the unit steps
+        p = IntPolynomial.from_coeffs([rng.randint(-9, 9) for _ in range(5)] + [3])
+        r = p.compose_affine(3, b)
+        assert [r.eval(k) for k in range(21)] == [p.eval(3 * k + b) for k in range(21)]
 
 
 def test_degree_bookkeeping():
@@ -121,8 +125,10 @@ def _random_poly(rng, degree, bits=400):
 def test_compose_affine_every_stride_and_shift():
     # degree-d polynomials that agree at d+1 points are equal
     rng = random.Random(1706)
-    for a in range(2, 11):
-        for b in range(-1, a):
+    strides = [(a, range(-1, a)) for a in range(2, 11)]
+    strides += [(a, (-1, 0, a - 1)) for a in (10**3, 10**6, 10**12)]
+    for a, shifts in strides:
+        for b in shifts:
             for degree in (0, 1, 2, 5, 13, 40):
                 p = _random_poly(rng, degree, bits=rng.randrange(200, 700))
                 r = p.compose_affine(a, b)
@@ -139,7 +145,7 @@ def _dot(w, p):
 def test_transposed_step_is_the_adjoint_of_the_level_step():
     # w . (prefix sum, then substitution)(p) == (the transposed step of w) . p
     rng = random.Random(2003)
-    for a in (2, 3, 7, 10):
+    for a in (2, 3, 7, 10, 10**3, 10**6, 10**12):
         for b in (-1, 0, a - 1):
             for degree in (0, 1, 2, 9, 25, 40):
                 p = _random_poly(rng, degree, bits=300)
