@@ -97,7 +97,7 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
     half runs where its numbers are small.
 
     With ``modulus`` M the count comes back mod M.  The prefix sum, the
-    substitution (a shift by Pascal additions and an integer table T) and
+    substitution (a shift, ``polysum._shift``, and an integer table T) and
     the evaluation at an integer (every C(x, i) is an integer) are all
     integer-linear in the coefficients, so reducing each h_t mod M after
     its substitution leaves the result's residue exact.  The reduced top

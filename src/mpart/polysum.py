@@ -136,10 +136,11 @@ def compose_affine_transposed(w: list[int], a: int, b: int) -> list[int]:
 def _shift(c, b: int) -> list[int]:
     """The coefficients of p(x + b) from those c_0 .. c_d of p, as a new list:
     c'_l = sum_k C(b, k) * c_{l+k} (Vandermonde), for either sign of b.
-    While |b| <= d that is |b| unit passes of Pascal's rule (a step forward
-    maps c_l to c_l + c_{l+1} from the bottom up; a step back undoes one
-    from the top down).  Past d, Delta^(d+1) p = 0 bounds the taps, and one
-    pass reads them off as the generalized binomials C(b, 0..d)."""
+    Delta^(d+1) p = 0 bounds the taps, so one pass of the generalized
+    binomials C(b, 0..d), about d^2/2 multiply-adds, is exact at any b.  A
+    unit pass of Pascal's rule is d additions (forward, c_l += c_{l+1}
+    bottom up; back, undone top down), so |b| <= d takes |b| of those: the
+    two cost the same near |b| = d, and below it the taps cost more."""
     d = len(c) - 1
     if abs(b) > d:
         taps = evaluation_covector(b, d)
