@@ -19,7 +19,11 @@ the partitions module counts both families by brute-force enumeration.
 Given a modulus, both polynomial routes return the count's residue from
 the same level loop reduced mod it, which is what the congruence checks
 take; the reduction shrinks the levels from the bottom up, so that loop
-runs bottom-up all the way.
+runs bottom-up all the way.  Mod m a reduced level is one residue, so a
+verify sweep meets the same few levels over and over: the residue route
+memoises its level step (``_residue_level``, keyed by the base, the
+modulus, the level's coefficients and the offset, an LRU cache of the
+RESIDUE_LEVELS most recent steps).  The exact route never enters it.
 
 Counts at n = 0 are defined as 1 (the empty partition) throughout.  Every
 count checks (m, n) through ``to_base`` first, then its budget or modulus.
@@ -27,6 +31,7 @@ count checks (m, n) through ``to_base`` first, then its budget or modulus.
 
 from __future__ import annotations
 
+import functools
 from operator import add, mul
 
 from .budgets import LoopBudgetExceeded, TableBudgetExceeded, enum_budget, loop_budget, shown
@@ -38,6 +43,11 @@ from .polysum import (
 )
 from .radix import chi_vector, to_base  # chi_vector stays importable from here
 from . import kernels
+
+# Entries kept by the residue route's level memo (``_residue_level``): room
+# for most of the distinct steps of a verify sweep mod m, while the levels
+# of a large modulus, nearly all distinct, hold no more than 256 levels.
+RESIDUE_LEVELS = 256
 
 
 def _check_table_size(m: int, upto: int) -> None:
@@ -103,14 +113,30 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
     its substitution leaves the result's residue exact.  The reduced top
     coefficients that vanish are dropped, so for M a power of m the degree
     collapses and the levels stay small.  That collapse is a bottom-up
-    effect, so with a modulus the split is at the top: the whole loop runs
-    bottom-up."""
-    if modulus is not None and modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
+    effect, so with a modulus the whole loop runs bottom-up, one
+    ``_residue_level`` step per level: S_{t+1} from S_t and a_t.  The step
+    is memoised by (m, M, coefficients of S_t, a_t) in an LRU cache of
+    RESIDUE_LEVELS entries.  Mod m every reduced h_t is a constant, so a
+    verify sweep needs a few hundred distinct steps in all and
+    recomputes none of the others.  For a large modulus such as
+    2**(3k+2) the levels hold many coefficients of log2(M) bits, and
+    nearly every step is new; the bound keeps the memo's memory to
+    RESIDUE_LEVELS such levels, each the key of one entry and the value
+    of the one before it."""
     tops = dict(strata)
     depth = max(tops, default=0)
-    split = depth if modulus is not None else (6 * depth + 5) // 10  # round(0.6 * depth)
     total = 0
+    if modulus is not None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be positive, got {modulus}")
+        s = IntPolynomial.constant(1).prefix_sum()
+        for t in range(1, depth + 1):
+            if t in tops:
+                total += s.eval(tops[t])
+            if t < depth:
+                s = _residue_level(m, modulus, s.coeffs, offsets[t])
+        return total % modulus
+    split = (6 * depth + 5) // 10  # round(0.6 * depth)
     h = IntPolynomial.constant(1)
     for t in range(1, split + 1):
         s = h.prefix_sum()
@@ -118,16 +144,23 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
             total += s.eval(tops[t])
         if t < split:
             h = s.compose_affine(m, offsets[t])
-            if modulus is not None:
-                h = IntPolynomial.from_coeffs([c % modulus for c in h.coeffs])
     if split == depth:
-        return total if modulus is None else total % modulus
+        return total
     w = evaluation_covector(tops[depth], depth)
     for t in range(depth, split, -1):
         w = compose_affine_transposed(prefix_sum_transposed(w), m, offsets[t - 1])
         if t - 1 > split and t - 1 in tops:
             w = list(map(add, w, evaluation_covector(tops[t - 1], t - 1)))
     return total + sum(map(mul, w, s.coeffs))
+
+
+@functools.lru_cache(maxsize=RESIDUE_LEVELS)
+def _residue_level(m: int, modulus: int, coeffs: tuple[int, ...], offset: int) -> IntPolynomial:
+    """S_{t+1} from the coefficients of S_t and the offset a_t: h_t(k) =
+    S_t(a_t + m*k) with its coefficients reduced mod ``modulus`` and the
+    vanished top ones dropped, then its prefix sum."""
+    h = IntPolynomial(coeffs).compose_affine(m, offset)
+    return IntPolynomial.from_coeffs([c % modulus for c in h.coeffs]).prefix_sum()
 
 
 def count_b_poly(m: int, n: int, modulus: int | None = None) -> int:

@@ -27,6 +27,10 @@ import functools
 from dataclasses import dataclass
 from operator import mul
 
+# Strides whose scaling tables are kept (``_scaling_table``); a process
+# counts at one stride per base.
+SCALING_TABLES = 64
+
 
 @dataclass(frozen=True)
 class IntPolynomial:
@@ -155,13 +159,15 @@ def _shift(c, b: int) -> list[int]:
     return c
 
 
-@functools.cache
+@functools.lru_cache(maxsize=SCALING_TABLES)
 def _scaling_table(a: int) -> tuple[list[list[int]], list[list[int]]]:
     """The stride-a table T as far as it has been grown, in two views that
     share their entries: column l lists T[l][i] for i = l .. min(D, a*l),
     and row i lists T[l][i] for l = ceil(i/a) .. i, D the largest degree
     requested so far (T[l][i] vanishes for i < l and for i > a*l).  Starts
-    at degree 0; ``_grown_scaling_table`` grows both in place."""
+    at degree 0; ``_grown_scaling_table`` grows both in place.  The tables
+    of the SCALING_TABLES strides used last are kept; an evicted stride's
+    table starts again at degree 0."""
     return [[1]], [[1]]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpart import counting, polysum
 from mpart.bijection import enumerate_members
 from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, TableBudgetExceeded
 from mpart.cli import _full_decimal
@@ -89,6 +90,36 @@ def test_residue_route_equals_the_exact_count_mod_m(data):
         assert count_c_poly(m, n, modulus) == c % modulus
         if n <= 2000:  # a route that does not run the level loop
             assert count_b_poly(m, n, modulus) == recurrence_table(m, n)[n] % modulus
+
+
+def test_residue_memo_keys_do_not_collide_across_bases_and_moduli():
+    # the residue route memoises its level step by (m, M, coefficients,
+    # offset); bases and moduli interleave so that equal coefficient
+    # vectors meet under other keys, run cold and then in reverse order
+    # through the filled memo
+    cases = [(m, n, modulus)
+             for n in range(2000, 2040)
+             for m in range(2, 11)
+             for modulus in (m, m * m, 2 ** (3 * (n % 3 + 1) + 2), 7)]
+    tables = {m: recurrence_table(m, 2039) for m in range(2, 11)}
+    exact_c = {(m, n): count_c_poly(m, n) for m, n, _ in cases}
+    memo = counting._residue_level
+    memo.cache_clear()
+    for order in (cases, cases[::-1]):
+        for m, n, modulus in order:
+            assert count_b_poly(m, n, modulus) == tables[m][n] % modulus
+            assert count_c_poly(m, n, modulus) == exact_c[m, n] % modulus
+    assert memo.cache_info().hits > 0
+
+
+def test_exact_route_stays_out_of_the_residue_memo():
+    memo = counting._residue_level
+    memo.cache_clear()
+    count_b_poly(2, 2**200 + 12345)
+    count_c_poly(3, 3**90 + 5)
+    assert memo.cache_info().currsize == 0
+    for cache in (memo, polysum._scaling_table):
+        assert isinstance(cache.cache_info().maxsize, int)
 
 
 @settings(deadline=None)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mpart import polysum
+from mpart.counting import count_b_poly, count_c_poly, recurrence_table
 from mpart.polysum import IntPolynomial
 
 
@@ -199,3 +200,20 @@ def test_scaling_table_grows_only_to_the_degree_in_use():
     assert rows[4] == [15, 81, 81]
     assert all(row == [columns[l][i - l] for l in range(-(-i // 3), i + 1)]
                for i, row in enumerate(rows))
+
+
+def test_scaling_tables_are_bounded_and_regrow_after_eviction():
+    # one table per stride, SCALING_TABLES of them kept; a count whose
+    # table was evicted grows it again from degree 0
+    table = polysum._scaling_table
+    table.cache_clear()
+    n = 3**10 + 7
+    first = count_b_poly(3, n), count_c_poly(3, n)
+    for a in range(4, 4 + 2 * polysum.SCALING_TABLES):
+        count_b_poly(a, a**6 - 1)
+        assert table.cache_info().currsize <= polysum.SCALING_TABLES
+    assert table.cache_info().maxsize == polysum.SCALING_TABLES
+    misses = table.cache_info().misses
+    assert (count_b_poly(3, n), count_c_poly(3, n)) == first
+    assert table.cache_info().misses > misses  # stride 3 had been evicted
+    assert first[0] == recurrence_table(3, n)[n]
