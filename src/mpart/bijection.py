@@ -10,8 +10,10 @@ and this map is a bijection from the partitions of n onto all sequences
 satisfying the bounds.  Counting m-ary partitions thereby reduces to
 counting lattice points of the chained inequalities.
 
-phi, phi_inv and is_member run the one carry recurrence beta_t = alpha_t
-- lambda_t + m*beta_{t+1}, beta_{j+1} = 0, solved for beta or for lambda.
+The one carry recurrence beta_t = alpha_t - lambda_t + m*beta_{t+1},
+beta_{j+1} = 0, runs on plain tuples: ``carry_betas`` solves it for beta and
+``carry_mults`` for lambda.  phi, phi_inv and is_member are thin wrappers
+that take and build the value objects.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, enum_budget, shown
-from .partitions import MaryPartition, weight
+from .partitions import MaryPartition
 from .radix import to_base
 from . import kernels
 
@@ -52,47 +54,72 @@ class BetaSeq:
         return tuple(reversed(self.betas))
 
 
+def _value(m: int, vector) -> int:
+    """sum(vector[t] * m**t): the weight of a multiplicity vector or the
+    integer a digit vector spells."""
+    total = 0
+    for x in reversed(vector):
+        total = total * m + x
+    return total
+
+
+def carry_betas(m: int, alpha, mults) -> tuple[int, ...]:
+    """The carry recurrence on plain tuples: the digits alpha of n and the
+    multiplicities of a partition, both lowest exponent first, to (beta_1,
+    ..., beta_j).
+
+    beta_t = alpha_t - lambda_t + m*beta_{t+1} for t = j..0 from beta_{j+1}
+    = 0, lambda_t = 0 past the end of mults.  beta_0 telescopes to n less the
+    partition's weight, so the partition sums to n iff beta_0 = 0 and it has
+    at most j + 1 multiplicities; otherwise this raises ValueError naming the
+    weight.  The empty sequence of n < m is the empty tuple.
+    """
+    j = len(alpha) - 1
+    k = len(mults)
+    betas = []  # beta_j, ..., beta_0
+    beta = 0  # the carry beta_{t+1}
+    for t in range(j, -1, -1):
+        beta = alpha[t] - (mults[t] if t < k else 0) + m * beta
+        betas.append(beta)
+    if beta or k > j + 1:
+        raise ValueError(f"partition sums to {_value(m, mults)}, not {_value(m, alpha)}")
+    return tuple(betas[-2::-1])
+
+
+def carry_mults(m: int, alpha, betas) -> tuple[int, ...] | None:
+    """The carry recurrence solved for lambda: lambda_t = alpha_t - beta_t +
+    m*beta_{t+1} for t = j..0, with beta_{j+1} = beta_0 = 0, as a canonical
+    multiplicity tuple (lowest exponent first, no zero above the largest
+    part); None at the first beta_t < 0 or lambda_t < 0.  lambda_t >= 0 is
+    the upper bound beta_t <= alpha_t + m*beta_{t+1}, so None means exactly
+    that the chained bounds fail."""
+    lam = []  # lambda_top, ..., lambda_0
+    above = 0  # beta_{t+1}
+    for t in range(len(alpha) - 1, 0, -1):
+        beta = betas[t - 1]
+        x = alpha[t] - beta + m * above
+        if beta < 0 or x < 0:
+            return None
+        if x or lam:
+            lam.append(x)
+        above = beta
+    lam.append(alpha[0] + m * above)
+    return tuple(reversed(lam))
+
+
 def phi(p: MaryPartition, n: int) -> BetaSeq:
     """Subtract the partition from the digit vector of n.
 
     beta_i = sum_{k=i}^{j} m**(k-i) * (alpha_k - lambda_k), evaluated by
-    the downward carry recurrence beta_t = alpha_t - lambda_t +
-    m*beta_{t+1} for t = j..1 from beta_{j+1} = 0; for n < m (j = 0) the
-    loop is empty and so is the sequence.
+    ``carry_betas``; a partition that does not sum to n raises ValueError.
     """
-    if weight(p) != n:
-        raise ValueError(f"partition sums to {weight(p)}, not {n}")
-    alpha = to_base(p.m, n).digits
-    j = len(alpha) - 1
-    lam = p.mults + (0,) * (j + 1 - len(p.mults))
-    betas = [0] * j  # betas[t-1] = beta_t
-    beta = 0  # the carry beta_{t+1}, from beta_{j+1} = 0
-    for t in range(j, 0, -1):
-        beta = betas[t - 1] = alpha[t] - lam[t] + p.m * beta
-    return BetaSeq(p.m, n, tuple(betas))
-
-
-def _multiplicities(b: BetaSeq) -> list[int] | None:
-    """The carry recurrence solved for lambda: lambda_t = alpha_t - beta_t
-    + m*beta_{t+1} for t = j..0, with beta_{j+1} = beta_0 = 0, lowest
-    exponent first; None at the first beta_t < 0 or lambda_t < 0.
-    lambda_t >= 0 is the upper bound beta_t <= alpha_t + m*beta_{t+1}, so
-    None means exactly that the chained bounds fail."""
-    alpha = to_base(b.m, b.n).digits
-    beta = (0, *b.betas, 0)  # beta[t] = beta_t for t = 0..j+1
-    lam = [0] * len(alpha)
-    for t in range(len(alpha) - 1, -1, -1):
-        lam[t] = alpha[t] - beta[t] + b.m * beta[t + 1]
-        if beta[t] < 0 or lam[t] < 0:
-            return None
-    return lam
+    return BetaSeq(p.m, n, carry_betas(p.m, to_base(p.m, n).digits, p.mults))
 
 
 def phi_inv(b: BetaSeq) -> MaryPartition:
-    """Invert phi: rebuild the multiplicities by the carry recurrence
-    solved for lambda and strip top zeros; a sequence outside the chained
-    bounds raises ValueError."""
-    lam = _multiplicities(b)
+    """Invert phi by ``carry_mults``; a sequence outside the chained bounds
+    raises ValueError."""
+    lam = carry_mults(b.m, to_base(b.m, b.n).digits, b.betas)
     if lam is None:
         raise ValueError("sequence violates its chained bounds")
     return MaryPartition.from_mults(b.m, lam)
@@ -100,9 +127,9 @@ def phi_inv(b: BetaSeq) -> MaryPartition:
 
 def is_member(b: BetaSeq) -> bool:
     """True iff the chained bounds hold for every entry, that is iff
-    phi_inv's recurrence yields no negative multiplicity; the empty
-    sequence of n < m always holds."""
-    return _multiplicities(b) is not None
+    ``carry_mults`` yields no negative multiplicity; the empty sequence of
+    n < m always holds."""
+    return carry_mults(b.m, to_base(b.m, b.n).digits, b.betas) is not None
 
 
 def enumerate_members(m: int, n: int) -> list[BetaSeq]:

@@ -16,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from . import congruence, counting, partitions
+from . import bijection, congruence, counting, partitions
 from .bijection import BetaSeq, enumerate_members, phi, phi_inv
 from .budgets import BudgetExceeded
 from .partitions import MaryPartition
@@ -150,11 +150,14 @@ def cmd_phi_inv(args) -> int:
 
 
 def cmd_table(args) -> int:
-    j = to_base(args.base, args.n).j
-    # phi reverses lex order, so the descending partitions come out in
-    # ascending order of their sequences
-    for p in partitions.enumerate_b(args.base, args.n):
-        print(f"{_fmt(p.padded_msb_first(j))}\t{_fmt(phi(p, args.n).msb_first())}")
+    m = args.base
+    alpha = to_base(m, args.n).digits
+    carry = bijection.carry_betas
+    # the walk's vectors carry every exponent up to j, so they are the padded
+    # display; phi reverses lex order, so the descending partitions come out
+    # in ascending order of their sequences
+    print("\n".join(f"{_fmt(mults[::-1])}\t{_fmt(carry(m, alpha, mults)[::-1])}"
+                    for mults in partitions.multiplicity_tuples(m, args.n)))
     return 0
 
 
@@ -222,6 +225,9 @@ def _verify_oracle_c(report: VerifyReport, args) -> None:
 
 
 def _verify_bijection(report: VerifyReport, args) -> None:
+    """Materialise both sides as objects, then run the carry recurrence and
+    its inverse on their tuples: phi's image of each partition, and back."""
+    carry_betas, carry_mults = bijection.carry_betas, bijection.carry_mults
     for m in args.base_range:
         for n in args.n_range:
             report.cases_run += 1
@@ -230,12 +236,14 @@ def _verify_bijection(report: VerifyReport, args) -> None:
             if len(parts) != len(members):
                 report.fail(m, n, len(members), len(parts), method="cardinality")
                 continue
-            images = [phi(p, n) for p in parts]
+            alpha = to_base(m, n).digits
+            images = [carry_betas(m, alpha, p.mults) for p in parts]
             # descending partitions map to ascending sequences, so the
             # generation orders must line up element for element
-            if images != members:
+            if images != [b.betas for b in members]:
                 report.fail(m, n, "image == member set", "mismatch", method="image")
-            bad = sum(1 for p, b in zip(parts, images) if phi_inv(b) != p)
+            bad = sum(1 for p, betas in zip(parts, images)
+                      if carry_mults(m, alpha, betas) != p.mults)
             if bad:
                 report.fail(m, n, 0, bad, method="round-trip")
 

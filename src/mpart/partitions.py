@@ -31,9 +31,9 @@ class MaryPartition:
             raise ValueError(f"base must be >= 2, got {self.m}")
         if not self.mults:
             raise ValueError("multiplicity vector must not be empty")
-        for lam in self.mults:
-            if lam < 0:
-                raise ValueError(f"negative multiplicity {lam}")
+        if min(self.mults) < 0:
+            first = next(lam for lam in self.mults if lam < 0)
+            raise ValueError(f"negative multiplicity {first}")
         if self.mults[-1] == 0:
             raise ValueError("top multiplicity must be nonzero in canonical form")
 
@@ -41,10 +41,12 @@ class MaryPartition:
     def from_mults(cls, m: int, mults) -> MaryPartition:
         """Build a partition, stripping zero multiplicities above the
         largest part (all but one where every entry is zero)."""
-        top = len(mults) - 1
-        while top > 0 and mults[top] == 0:
-            top -= 1
-        return cls(m, tuple(mults[: top + 1]))
+        if mults and mults[-1] == 0:
+            top = len(mults) - 1
+            while top > 0 and mults[top] == 0:
+                top -= 1
+            mults = mults[: top + 1]
+        return cls(m, tuple(mults))
 
     @property
     def top_exponent(self) -> int:
@@ -73,25 +75,31 @@ def is_gap_free(p: MaryPartition) -> bool:
     return all(lam > 0 for lam in p.mults)
 
 
-def enumerate_b(m: int, n: int) -> list[MaryPartition]:
-    """All m-ary partitions of n, in descending lexicographic order on the
-    multiplicity tuple read largest exponent first (padded to the top
-    exponent of n).
+def multiplicity_tuples(m: int, n: int) -> list[tuple[int, ...]]:
+    """The multiplicity vectors of enumerate_b(m, n), in its order, each
+    with j + 1 entries (zeros above the largest part kept), as plain tuples.
 
-    Raises EnumerationBudgetExceeded, before any partition is built, when
+    Raises EnumerationBudgetExceeded, before any vector is kept, when
     b(m, n) by ``kernels.walk_partitions`` exceeds ``MPART_ENUM_BUDGET``;
     formula-based counting should be used instead.  A second walk of the
-    same walker then builds the partitions at its leaves.
+    same walker then copies the vectors at its leaves.
     """
     to_base(m, n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget()
     kernels.walk_partitions(m, n, cap)
-    out: list[MaryPartition] = []
-    kernels.walk_partitions(m, n, cap, lambda mults: out.append(
-        MaryPartition.from_mults(m, mults)))
+    out: list[tuple[int, ...]] = []
+    kernels.walk_partitions(m, n, cap, lambda mults: out.append(tuple(mults)))
     return out
+
+
+def enumerate_b(m: int, n: int) -> list[MaryPartition]:
+    """All m-ary partitions of n, in descending lexicographic order on the
+    multiplicity tuple read largest exponent first (padded to the top
+    exponent of n): ``multiplicity_tuples`` as value objects.
+    """
+    return [MaryPartition.from_mults(m, mults) for mults in multiplicity_tuples(m, n)]
 
 
 def enumerate_c(m: int, n: int) -> list[MaryPartition]:

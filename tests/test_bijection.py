@@ -5,10 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpart import counting
-from mpart.bijection import BetaSeq, enumerate_members, is_member, phi, phi_inv
+from mpart.bijection import (
+    BetaSeq,
+    carry_betas,
+    carry_mults,
+    enumerate_members,
+    is_member,
+    phi,
+    phi_inv,
+)
 from mpart.budgets import EnumerationBudgetExceeded
 from mpart.counting import recurrence_table
-from mpart.partitions import MaryPartition, enumerate_b, weight
+from mpart.partitions import MaryPartition, enumerate_b, multiplicity_tuples, weight
 from mpart.radix import to_base
 
 # the full correspondence for base 4, n = 36 (multiplicities and sequences
@@ -154,6 +162,46 @@ def test_bijection_onto_members_small_grid():
             # injectivity, surjectivity, and cardinality in one comparison:
             # descending partitions map to ascending sequences
             assert images == members
+
+
+def test_wrappers_agree_with_the_carry_cores():
+    # phi, phi_inv and is_member against the tuple cores the table and the
+    # bijection suite run, and the table's walk against enumerate_b
+    for m in range(2, 8):
+        for n in range(1, 151):
+            alpha = to_base(m, n).digits
+            parts = enumerate_b(m, n)
+            for p in parts:
+                assert phi(p, n).betas == carry_betas(m, alpha, p.mults)
+            # carry_mults strips the top zeros itself, so from_mults of it
+            # is the partition with exactly these multiplicities
+            for b in enumerate_members(m, n):
+                assert phi_inv(b).mults == carry_mults(m, alpha, b.betas)
+                assert is_member(b)
+            # the walk keeps every exponent up to j; stripped, it is parts
+            assert multiplicity_tuples(m, n) == [
+                p.mults + (0,) * (len(alpha) - len(p.mults)) for p in parts]
+
+
+def test_carry_cores_on_plain_tuples():
+    alpha = to_base(4, 36).digits
+    # every exponent up to j may be given, or only up to the largest part
+    assert carry_betas(4, alpha, (4, 4, 1)) == (1, 1)
+    assert carry_betas(4, alpha, (36, 0, 0)) == carry_betas(4, alpha, (36,)) == (9, 2)
+    assert carry_mults(4, alpha, (9, 2)) == (36,)
+    assert carry_mults(4, alpha, (0, 0)) == (0, 1, 2)
+    assert carry_mults(4, alpha, (10, 2)) is None
+    assert carry_mults(4, alpha, (0, -1)) is None
+    # the weight check: beta_0 != 0, or a part above m**j
+    with pytest.raises(ValueError, match="partition sums to 37, not 36"):
+        carry_betas(4, alpha, (5, 4, 1))
+    with pytest.raises(ValueError, match="partition sums to 64, not 36"):
+        carry_betas(4, alpha, (0, 0, 0, 1))
+    with pytest.raises(ValueError, match="partition sums to 0, not 36"):
+        carry_betas(4, alpha, ())
+    # n < m: the empty sequence, and the one partition n = n*1
+    assert carry_betas(7, (6,), (6,)) == ()
+    assert carry_mults(7, (6,), ()) == (6,)
 
 
 def test_members_all_satisfy_bounds():

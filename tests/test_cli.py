@@ -10,7 +10,7 @@ import pytest
 from mpart import bijection, cli, congruence, counting
 from mpart.cli import main
 from mpart.counting import count_b_poly
-from mpart.partitions import MaryPartition, count_c_enum
+from mpart.partitions import count_c_enum
 from mpart.radix import to_base
 
 GOLDEN = Path(__file__).parent / "golden" / "table_4_36.tsv"
@@ -376,6 +376,11 @@ def _one_more_each(m, upto):
     return [b + 1 for b in counting.recurrence_table(m, upto)]
 
 
+def _all_ones(m, alpha, betas):
+    """A wrong inverse carry: every sequence back to the all-ones partition."""
+    return (sum(d * m**t for t, d in enumerate(alpha)),)
+
+
 def _failure_lines(suite, records, cases, **extra):
     lines = [json.dumps({"m": m, "n": n, "suite": suite,
                          "expected": expected, "actual": actual, **extra})
@@ -386,8 +391,9 @@ def _failure_lines(suite, records, cases, **extra):
 
 # (module, attribute, replacement, argv, stdout); every case exits 1.  The
 # pinned lines fix which side each check records as expected and actual, and
-# which record each check writes.  cli imports enumerate_members, phi and
-# phi_inv by name, so those are replaced on cli.
+# which record each check writes.  cli imports enumerate_members by name, so
+# it is replaced on cli; the bijection suite looks the carry recurrence and
+# its inverse up on bijection at call time.
 WRONG_SIDE_CASES = {
     "verify-afs-b": (
         counting, "count_b_poly", _quotient_count,
@@ -476,7 +482,7 @@ WRONG_SIDE_CASES = {
                                      for n in (2, 3, 4)], 4, method="image"),
     ),
     "verify-bijection-round-trip": (
-        cli, "phi_inv", lambda b: MaryPartition(b.m, (b.n,)),
+        bijection, "carry_mults", _all_ones,
         ["verify", "--suite", "bijection", "--base-range", "2..2", "--n-range", "1..4"],
         _failure_lines("bijection", [(2, 2, "0", "1"), (2, 3, "0", "1"), (2, 4, "0", "3")],
                        4, method="round-trip"),
@@ -499,6 +505,15 @@ WRONG_SIDE_CASES = {
         "nested 5\npoly 3\nrecurrence 5\ngf 5\nenumerate 5\n",
     ),
 }
+
+
+def test_table_prints_the_carry_recurrence_images(capsys, monkeypatch):
+    # a carry core that forgets the carry changes every sequence but the
+    # digit vector's, so the table's right column is that core's output
+    monkeypatch.setattr(bijection, "carry_betas", lambda m, alpha, mults: tuple(
+        a - lam for a, lam in zip(alpha[1:], mults[1:])))
+    assert run(capsys, "table", "--base", "2", "--n", "4") == (
+        0, "1,0,0\t0,0\n0,2,0\t1,-2\n0,1,2\t1,-1\n0,0,4\t1,0\n", "")
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_SIDE_CASES))
