@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, enum_budget, shown
-from .partitions import MaryPartition
+from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, shown
+from .partitions import MaryPartition, materialise
 from .radix import to_base
 from . import kernels
 
@@ -134,25 +134,18 @@ def is_member(b: BetaSeq) -> bool:
 
 def enumerate_members(m: int, n: int) -> list[BetaSeq]:
     """Every sequence satisfying the chained bounds, in ascending
-    lexicographic order on (beta_j, ..., beta_1), by bounded nested loops.
+    lexicographic order on (beta_j, ..., beta_1): ``partitions.materialise``
+    over the nested walk of b (``kernels.nested_sum_b``), which counts the
+    sequences without materializing them, so the budget check borrows
+    nothing from the formulas the sequences are checked against.  The
+    walk's budget error is raised as EnumerationBudgetExceeded."""
 
-    n must be positive, as for ``BetaSeq``; that is checked before the
-    budget, so n = 0 is refused as such at every budget.
+    def walk(m: int, n: int, cap: int, leaf=None) -> int:
+        try:
+            return kernels.nested_sum_b(m, n, cap, leaf)
+        except LoopBudgetExceeded:
+            raise EnumerationBudgetExceeded(
+                f"more than {shown(cap)} sequences for n={shown(n)} in base {shown(m)}") from None
 
-    ``MPART_ENUM_BUDGET`` is checked, after (m, n), before any sequence is
-    built by the nested-sum walker (``kernels.nested_sum_b``), which counts
-    the sequences without materializing them, so the check borrows nothing
-    from the formulas the sequences are checked against; a second walk then
-    builds them at its leaves."""
-    j = to_base(m, n).j
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    cap = enum_budget()
-    try:
-        kernels.nested_sum_b(m, n, cap)
-    except LoopBudgetExceeded:
-        raise EnumerationBudgetExceeded(
-            f"more than {shown(cap)} sequences for n={shown(n)} in base {shown(m)}") from None
-    out: list[BetaSeq] = []
-    kernels.nested_sum_b(m, n, cap, lambda ks: out.append(BetaSeq(m, n, tuple(ks[:j]))))
-    return out
+    # the leaf's ks has j + 1 entries, of which ks[:j] are the loop's
+    return materialise(walk, m, n, lambda ks: BetaSeq(m, n, tuple(ks[:-1])))

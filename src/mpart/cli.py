@@ -40,8 +40,8 @@ C_ROUTES = {
 }
 
 
-# These two take the actual side first, as they always have, so that an
-# invalid (m, n) fails with the same message.
+# These two check (m, n) through to_base first, so that an invalid n is named
+# as given, never as m^3 n; the actual side still comes first.
 def _afs_equiv(m: int, n: int) -> tuple[int, int]:
     r = to_base(m, n)
     actual = congruence.afs_c_mod(r).value
@@ -49,6 +49,7 @@ def _afs_equiv(m: int, n: int) -> tuple[int, int]:
 
 
 def _reduction(m: int, n: int) -> tuple[int, int]:
+    to_base(m, n)
     actual = counting.count_c_poly(m, m**3 * n, modulus=m)
     return counting.count_c_poly(m, m * n, modulus=m), actual
 
@@ -208,6 +209,8 @@ def _compare_routes(report: VerifyReport, m: int, n: int, routes) -> None:
 def _verify_oracle_b(report: VerifyReport, args) -> None:
     top = args.n_range.stop - 1
     for m in args.base_range:
+        # the grid's first n before the tables, which index a negative n from their end
+        to_base(m, args.n_range.start)
         table = counting.recurrence_table(m, top)
         gf = counting.count_b_gf(m, top)
         routes = {"recurrence": lambda m, n: table[n], "gf": lambda m, n: gf[n],

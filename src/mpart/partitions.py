@@ -75,54 +75,54 @@ def is_gap_free(p: MaryPartition) -> bool:
     return all(lam > 0 for lam in p.mults)
 
 
-def multiplicity_tuples(m: int, n: int) -> list[tuple[int, ...]]:
-    """The multiplicity vectors of enumerate_b(m, n), in its order, each
-    with j + 1 entries (zeros above the largest part kept), as plain tuples.
+def materialise(walk, m: int, n: int, build) -> list:
+    """build(buffer) at every leaf of ``walk``, a kernels walker called as
+    walk(m, n, cap[, leaf]), in the walk's order.
 
-    Raises EnumerationBudgetExceeded, before any vector is kept, when
-    b(m, n) by ``kernels.walk_partitions`` exceeds ``MPART_ENUM_BUDGET``;
-    formula-based counting should be used instead.  A second walk of the
-    same walker then copies the vectors at its leaves.
+    (m, n) is checked through ``to_base``, then n >= 1, then
+    ``MPART_ENUM_BUDGET`` is read once as cap.  A first walk without a leaf
+    counts against cap, so the walker raises its own budget error before
+    anything is kept; a second walk of the same walker keeps the leaves.
     """
     to_base(m, n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget()
-    kernels.walk_partitions(m, n, cap)
-    out: list[tuple[int, ...]] = []
-    kernels.walk_partitions(m, n, cap, lambda mults: out.append(tuple(mults)))
+    walk(m, n, cap)
+    out = []
+    walk(m, n, cap, lambda buffer: out.append(build(buffer)))
     return out
+
+
+def multiplicity_tuples(m: int, n: int) -> list[tuple[int, ...]]:
+    """The multiplicity vectors of enumerate_b(m, n), in its order, each
+    with j + 1 entries (zeros above the largest part kept), as plain tuples:
+    ``materialise`` over ``kernels.walk_partitions``.
+    """
+    return materialise(kernels.walk_partitions, m, n, tuple)
 
 
 def enumerate_b(m: int, n: int) -> list[MaryPartition]:
     """All m-ary partitions of n, in descending lexicographic order on the
     multiplicity tuple read largest exponent first (padded to the top
-    exponent of n): ``multiplicity_tuples`` as value objects.
+    exponent of n): ``multiplicity_tuples`` as value objects, each built at
+    its leaf by ``materialise``.
     """
-    return [MaryPartition.from_mults(m, mults) for mults in multiplicity_tuples(m, n)]
+    return materialise(kernels.walk_partitions, m, n,
+                       lambda mults: MaryPartition.from_mults(m, mults))
 
 
 def enumerate_c(m: int, n: int) -> list[MaryPartition]:
-    """The gap-free subset of enumerate_b(m, n), in the same order.
+    """The gap-free subset of enumerate_b(m, n), in the same order:
+    ``materialise`` over ``kernels.walk_gapfree``.
 
-    Generated directly, stratum by stratum of ``kernels.walk_gapfree``:
-    the partitions with largest part m**r are those of the rest into parts
-    m**0..m**r with every multiplicity raised by one.  Largest part first,
-    that is enumerate_b's order.
-
-    Raises EnumerationBudgetExceeded, before any partition is built, when
-    c(m, n) by ``kernels.walk_gapfree`` exceeds ``MPART_ENUM_BUDGET``; a
-    second walk of the same walker then builds the partitions at its leaves.
+    The walk goes stratum by stratum: the partitions with largest part
+    m**r are those of the rest into parts m**0..m**r with every
+    multiplicity raised by one.  Largest part first, that is enumerate_b's
+    order.
     """
-    to_base(m, n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    cap = enum_budget()
-    kernels.walk_gapfree(m, n, cap)
-    out: list[MaryPartition] = []
-    kernels.walk_gapfree(m, n, cap, lambda mults: out.append(
-        MaryPartition(m, tuple(lam + 1 for lam in mults))))
-    return out
+    return materialise(kernels.walk_gapfree, m, n,
+                       lambda mults: MaryPartition(m, tuple(lam + 1 for lam in mults)))
 
 
 def count_b_enum(m: int, n: int) -> int:

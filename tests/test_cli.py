@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -316,6 +318,38 @@ def test_afs_c_at_n_zero_exits_2(capsys):
                          "--n-range", "0..3")
     assert (code, out) == (2, "")
     assert err == "error: defined for representations of positive integers only\n"
+
+
+EDGE_BASES = ("0..2", "1..1", "2..2", "3..3")
+EDGE_NS = ("-5..3", "-5..-3", "-1..-1", "0..0", "0..2", "1..1")
+EDGE_KS = ("1..1", "0..1", "-2..1")
+
+
+def test_verify_edge_grids_name_the_first_start_that_fails(capsys):
+    # each suite checks its grid's ranges in one order, base then n (k then
+    # n for churchhouse, which runs at base 2), and a range that starts below
+    # its floor (base 2, k 1, n 0) must be refused with exit 2 by its start,
+    # before any table is built or n is scaled; n = 0 may be refused by
+    # suites that need n >= 1
+    for suite, bases, ns in itertools.product(cli.SUITES, EDGE_BASES, EDGE_NS):
+        for ks in EDGE_KS if suite == "churchhouse" else (None,):
+            argv = ["verify", "--suite", suite, f"--base-range={bases}", f"--n-range={ns}"]
+            checks = [("base", bases, 2), ("n", ns, 0)]
+            if ks:
+                argv.append(f"--k-range={ks}")
+                checks[0] = ("k", ks, 1)
+            starts = {name: int(grid.split("..")[0]) for name, grid, _ in checks}
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), argv
+            named = re.fullmatch(r"error: (\w+) must be [^,]*, got (-?\d+)\n", err)
+            if named:
+                assert int(named[2]) == starts[named[1]], (argv, err)
+                ahead = [name for name, _, _ in checks].index(named[1])
+                assert all(starts[name] >= floor
+                           for name, _, floor in checks[:ahead]), (argv, err)
+            first_bad = next((name for name, _, floor in checks if starts[name] < floor), None)
+            if first_bad:
+                assert code == 2 and named and named[1] == first_bad, (argv, err)
 
 
 @pytest.fixture

@@ -2,7 +2,9 @@ import time
 
 import pytest
 
-from mpart.budgets import EnumerationBudgetExceeded
+from mpart import kernels
+from mpart.bijection import enumerate_members
+from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded
 from mpart.counting import count_c_poly, recurrence_table
 from mpart.partitions import (
     MaryPartition,
@@ -11,6 +13,8 @@ from mpart.partitions import (
     enumerate_b,
     enumerate_c,
     is_gap_free,
+    materialise,
+    multiplicity_tuples,
     weight,
 )
 
@@ -180,3 +184,39 @@ def test_walk_counts_refuse_huge_n_before_recursing():
         with pytest.raises(EnumerationBudgetExceeded):
             count(2, 2**1100)
         assert time.perf_counter() - start < 1.0
+
+
+# walker -> (its pinned budget error at (3, 100) given the cap, the leaves
+# the enumeration built on it keeps, as the buffers the walker shows)
+MATERIALISED_WALKS = {
+    "walk_partitions": (EnumerationBudgetExceeded, "more than {} partitions of 100 in base 3",
+                        lambda: multiplicity_tuples(3, 100)),
+    "walk_gapfree": (EnumerationBudgetExceeded, "more than {} gap-free partitions of 100 in base 3",
+                     lambda: [tuple(lam - 1 for lam in p.mults) for p in enumerate_c(3, 100)]),
+    "nested_sum_b": (LoopBudgetExceeded, "nested summation for base 3, n=100 exceeded budget {}",
+                     lambda: [b.betas + (0,) for b in enumerate_members(3, 100)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATERIALISED_WALKS))
+def test_materialise_builds_every_leaf_once_and_none_over_budget(set_budget, name):
+    walk = getattr(kernels, name)
+    error, refusal, expected = MATERIALISED_WALKS[name]
+    count = walk(3, 100, 10**6)
+    built = []
+
+    def spy(buffer):
+        built.append(tuple(buffer))
+        return len(built)
+
+    set_budget(count)
+    assert materialise(walk, 3, 100, spy) == list(range(1, count + 1))
+    # nested_sum_b's ks keeps one unread entry past the loop's, always 0
+    assert built == expected()
+    built.clear()
+    set_budget(count - 1)
+    with pytest.raises(error) as info:
+        materialise(walk, 3, 100, spy)
+    assert type(info.value) is error
+    assert str(info.value) == refusal.format(count - 1)
+    assert built == []
