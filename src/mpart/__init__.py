@@ -33,7 +33,7 @@ from .partitions import (
     weight,
 )
 from .polysum import IntPolynomial
-from .radix import BaseRepr, chi_vector, from_base, shift_up, to_base
+from .radix import BaseRepr, chi_vector, to_base
 
 __version__ = "0.1.0"
 
@@ -63,13 +63,11 @@ __all__ = [
     "enumerate_b",
     "enumerate_c",
     "enumerate_members",
-    "from_base",
     "is_gap_free",
     "is_member",
     "phi",
     "phi_inv",
     "recurrence_table",
-    "shift_up",
     "to_base",
     "weight",
 ]

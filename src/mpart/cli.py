@@ -262,6 +262,11 @@ def _verify_residues(report: VerifyReport, args) -> None:
 
 
 def _verify_churchhouse(report: VerifyReport, args) -> None:
+    # the base range first, as every suite checks it, though base 2 alone runs
+    if args.base_range.start < 2:
+        raise ValueError(f"base must be >= 2, got {args.base_range.start}")
+    if 2 not in args.base_range:
+        raise ValueError("churchhouse congruences are about base 2")
     for k in args.k_range:
         for n in args.n_range:
             report.cases_run += 1

@@ -39,7 +39,7 @@ class Residue:
 def _positive_digits(r: BaseRepr) -> tuple[int, ...]:
     """The digits of n >= 1; c(m, 0) = 1 lies outside the c residue forms."""
     if r.digits == (0,):
-        raise ValueError("defined for representations of positive integers only")
+        raise ValueError("n must be positive, got 0")
     return r.digits
 
 

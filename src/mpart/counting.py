@@ -18,12 +18,13 @@ part occurs), is computed by literal summation and by the polynomial route;
 the partitions module counts both families by brute-force enumeration.
 Given a modulus, both polynomial routes return the count's residue from
 the same level loop reduced mod it, which is what the congruence checks
-take; the reduction shrinks the levels from the bottom up, so that loop
-runs bottom-up all the way.  Mod m a reduced level is one residue, so a
-verify sweep meets the same few levels over and over: the residue route
-memoises its level step (``_residue_level``, keyed by the base, the
-modulus, the level's coefficients and the offset, an LRU cache of the
-RESIDUE_LEVELS most recent steps).  The exact route never enters it.
+take; the reduction shrinks the levels from the bottom up, so with a
+modulus the loop's split sits at the top and no level runs transposed.
+Mod m a reduced level is one residue, so a verify sweep meets the same few
+levels over and over: the reduced step is memoised (``_residue_level``,
+keyed by the base, the modulus, the level's coefficients and the offset,
+an LRU cache of the RESIDUE_LEVELS most recent steps).  The exact route
+never enters it.
 
 Counts at n = 0 are defined as 1 (the empty partition) throughout.  Every
 count checks (m, n) through ``to_base`` first, then its budget or modulus.
@@ -95,16 +96,16 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
     binomial basis; stratum (r, top) adds S_r(top), with S_r(-1) = 0.
 
     Every level map and every stratum's evaluation is linear in the
-    coefficients, so the loop meets in the middle, at the split level
-    t* = round(0.6 * depth).  Levels 1..t* run bottom-up as above, with the
-    strata r <= t*.  Above the split the loop runs transposed, top-down, on
-    a covector w_t whose dot product with S_t is the sum of the strata
-    r >= t: w_depth = (C(top_depth, i))_i, and w_{t-1} is w_t carried
-    through the transposed prefix sum and substitution (``polysum``), plus
-    (C(top_{t-1}, i))_i for a stratum t - 1 > t*.  One dot product of the
-    covector at level t* with S_{t*} joins the halves.  The coefficients
-    of S_t grow with t and the covector's entries with depth - t, so each
-    half runs where its numbers are small.
+    coefficients, so the loop meets in the middle, at a split level t*.
+    One bottom-up loop steps S_1 .. S_{t*}, adding the strata r <= t*.
+    Above the split the loop runs transposed, top-down, on a covector w_t
+    whose dot product with S_t is the sum of the strata r >= t: w_depth =
+    (C(top_depth, i))_i, and w_{t-1} is w_t carried through the transposed
+    prefix sum and substitution (``polysum``), plus (C(top_{t-1}, i))_i
+    for a stratum t - 1 > t*.  One dot product of the covector at level t*
+    with S_{t*} joins the halves.  The coefficients of S_t grow with t and
+    the covector's entries with depth - t, so for the exact count t* =
+    round(0.6 * depth) and each half runs where its numbers are small.
 
     With ``modulus`` M the count comes back mod M.  The prefix sum, the
     substitution (a shift, ``polysum._shift``, and an integer table T) and
@@ -113,37 +114,30 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
     its substitution leaves the result's residue exact.  The reduced top
     coefficients that vanish are dropped, so for M a power of m the degree
     collapses and the levels stay small.  That collapse is a bottom-up
-    effect, so with a modulus the whole loop runs bottom-up, one
-    ``_residue_level`` step per level: S_{t+1} from S_t and a_t.  The step
-    is memoised by (m, M, coefficients of S_t, a_t) in an LRU cache of
-    RESIDUE_LEVELS entries.  Mod m every reduced h_t is a constant, so a
-    verify sweep needs a few hundred distinct steps in all and
-    recomputes none of the others.  For a large modulus such as
-    2**(3k+2) the levels hold many coefficients of log2(M) bits, and
-    nearly every step is new; the bound keeps the memo's memory to
-    RESIDUE_LEVELS such levels, each the key of one entry and the value
-    of the one before it."""
+    effect, so with a modulus t* = depth: the same loop runs to the top,
+    and its step is ``_residue_level``, S_{t+1} from S_t and a_t, memoised
+    by (m, M, coefficients of S_t, a_t) in an LRU cache of RESIDUE_LEVELS
+    entries.  Mod m every reduced h_t is a constant, so a verify sweep
+    needs a few hundred distinct steps in all and recomputes none of the
+    others.  For a large modulus such as 2**(3k+2) the levels hold many
+    coefficients of log2(M) bits, and nearly every step is new; the bound
+    keeps the memo's memory to RESIDUE_LEVELS such levels, each the key of
+    one entry and the value of the one before it."""
     tops = dict(strata)
     depth = max(tops, default=0)
+    if modulus is not None and modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    split = depth if modulus else (6 * depth + 5) // 10  # round(0.6 * depth)
     total = 0
-    if modulus is not None:
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
-        s = IntPolynomial.constant(1).prefix_sum()
-        for t in range(1, depth + 1):
-            if t in tops:
-                total += s.eval(tops[t])
-            if t < depth:
-                s = _residue_level(m, modulus, s.coeffs, offsets[t])
-        return total % modulus
-    split = (6 * depth + 5) // 10  # round(0.6 * depth)
-    h = IntPolynomial.constant(1)
+    s = IntPolynomial.constant(1).prefix_sum()
     for t in range(1, split + 1):
-        s = h.prefix_sum()
         if t in tops:
             total += s.eval(tops[t])
         if t < split:
-            h = s.compose_affine(m, offsets[t])
+            s = (s.compose_affine(m, offsets[t]).prefix_sum() if modulus is None
+                 else _residue_level(m, modulus, s.coeffs, offsets[t]))
+    if modulus is not None:
+        return total % modulus
     if split == depth:
         return total
     w = evaluation_covector(tops[depth], depth)

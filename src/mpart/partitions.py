@@ -48,18 +48,9 @@ class MaryPartition:
             mults = mults[: top + 1]
         return cls(m, tuple(mults))
 
-    @property
-    def top_exponent(self) -> int:
-        return len(self.mults) - 1
-
     def msb_first(self) -> tuple[int, ...]:
         """Multiplicities in display order, largest exponent first."""
         return tuple(reversed(self.mults))
-
-    def padded_msb_first(self, j: int) -> tuple[int, ...]:
-        """Display order padded with zeros up to exponent j."""
-        padded = self.mults + (0,) * (j + 1 - len(self.mults))
-        return tuple(reversed(padded))
 
 
 def weight(p: MaryPartition) -> int:

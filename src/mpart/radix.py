@@ -58,22 +58,7 @@ def to_base(m: int, n: int) -> BaseRepr:
     return BaseRepr(m, tuple(digits))
 
 
-def from_base(r: BaseRepr) -> int:
-    """Reconstruct the integer a digit vector represents."""
-    n = 0
-    for d in reversed(r.digits):
-        n = n * r.m + d
-    return n
-
-
 def chi_vector(r: BaseRepr) -> tuple[int, ...]:
     """(chi_1, ..., chi_j) with chi_i = 0 where digit alpha_{i-1} is
     positive and 1 where it is zero; empty for single-digit numbers."""
     return tuple(0 if d > 0 else 1 for d in r.digits[:-1])
-
-
-def shift_up(r: BaseRepr) -> BaseRepr:
-    """Digits of m*n given the digits of n >= 1 (appends a zero ones digit)."""
-    if r.digits == (0,):
-        raise ValueError("shift_up is only defined for positive integers")
-    return BaseRepr(r.m, (0,) + r.digits)

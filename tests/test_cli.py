@@ -317,7 +317,7 @@ def test_afs_c_at_n_zero_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--suite", "afs-c", "--base-range", "2..3",
                          "--n-range", "0..3")
     assert (code, out) == (2, "")
-    assert err == "error: defined for representations of positive integers only\n"
+    assert err == "error: n must be positive, got 0\n"
 
 
 EDGE_BASES = ("0..2", "1..1", "2..2", "3..3")
@@ -326,21 +326,25 @@ EDGE_KS = ("1..1", "0..1", "-2..1")
 
 
 def test_verify_edge_grids_name_the_first_start_that_fails(capsys):
-    # each suite checks its grid's ranges in one order, base then n (k then
-    # n for churchhouse, which runs at base 2), and a range that starts below
-    # its floor (base 2, k 1, n 0) must be refused with exit 2 by its start,
-    # before any table is built or n is scaled; n = 0 may be refused by
-    # suites that need n >= 1
+    # each suite checks its grid's ranges in one order, base then n (base,
+    # k, then n for churchhouse), and a range that starts below its floor
+    # (base 2, k 1, n 0) must be refused with exit 2 by its start, before
+    # any table is built or n is scaled; n = 0 may be refused by suites that
+    # need n >= 1.  churchhouse runs at base 2, so a valid base range
+    # without 2 is refused by that rule, before k and n
     for suite, bases, ns in itertools.product(cli.SUITES, EDGE_BASES, EDGE_NS):
         for ks in EDGE_KS if suite == "churchhouse" else (None,):
             argv = ["verify", "--suite", suite, f"--base-range={bases}", f"--n-range={ns}"]
             checks = [("base", bases, 2), ("n", ns, 0)]
             if ks:
                 argv.append(f"--k-range={ks}")
-                checks[0] = ("k", ks, 1)
+                checks.insert(1, ("k", ks, 1))
             starts = {name: int(grid.split("..")[0]) for name, grid, _ in checks}
             code, _, err = run(capsys, *argv)
             assert code in (0, 1, 2), argv
+            if ks and starts["base"] > 2:  # a valid base range without 2
+                assert (code, err) == (2, "error: churchhouse congruences are about base 2\n")
+                continue
             named = re.fullmatch(r"error: (\w+) must be [^,]*, got (-?\d+)\n", err)
             if named:
                 assert int(named[2]) == starts[named[1]], (argv, err)

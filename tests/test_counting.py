@@ -79,8 +79,9 @@ def test_poly_matches_recurrence_property(m, n):
 def test_residue_route_equals_the_exact_count_mod_m(data):
     # every residue check reduces the level loop mod M; the residue must be
     # the exact count's, for the moduli the checks use.  With a modulus the
-    # loop runs bottom-up only, without a count it meets in the middle, so
-    # this compares two distinct loops
+    # loop's split is its top and its step the reduced one; without, it
+    # meets in the middle, so this sets the transposed half against the
+    # reduced steps
     m = data.draw(st.integers(2, 10), label="m")
     n = data.draw(st.one_of(st.integers(0, 2000), st.integers(0, m**40)), label="n")
     k = data.draw(st.integers(1, 40), label="k")
@@ -204,7 +205,9 @@ def _has_top_offset_minus_one(m: int, n: int) -> bool:
     return -1 in offsets[(6 * depth + 5) // 10:depth]
 
 
-SPLIT_EDGES = {  # base -> n at the split's edge cases, up to m**4
+SPLIT_EDGES = {  # base -> n at the split's edge cases, up to m**4; with a
+    # modulus the same n run the loop to the top: depth 0, depth 1 and the
+    # offsets -1 on the reduced side
     m: sorted({
         *range(m),  # c's chain is empty: depth 0
         m, m + 1, 2 * m - 1, m * m - 1,  # depth 1: no level above the split
@@ -223,6 +226,39 @@ def test_split_edge_cases_match_reference_tables(m):
     for n in SPLIT_EDGES[m]:
         assert count_b_poly(m, n) == b[n], n
         assert count_c_poly(m, n) == c[n], n
+        for modulus in (m, m * m, 7, 2**5):
+            assert count_b_poly(m, n, modulus) == b[n] % modulus, (n, modulus)
+            assert count_c_poly(m, n, modulus) == c[n] % modulus, (n, modulus)
+
+
+def test_level_loop_steps_once_per_level_below_its_split(monkeypatch):
+    # one loop steps S_1 .. S_split: with a modulus the split is the top and
+    # each step one (memoised) reduced level, else round(0.6 * depth) and
+    # each step one substitution; the reduced steps compose on a memo miss,
+    # so only their own count is pinned
+    calls = {}
+    residue_level = counting._residue_level
+    compose_affine = polysum.IntPolynomial.compose_affine
+
+    def residue_spy(*args):
+        calls["residue"] += 1
+        return residue_level(*args)
+
+    def compose_spy(p, a, b):
+        calls["compose"] += 1
+        return compose_affine(p, a, b)
+
+    monkeypatch.setattr(counting, "_residue_level", residue_spy)
+    monkeypatch.setattr(polysum.IntPolynomial, "compose_affine", compose_spy)
+    for m, n in ((2, 2**40 + 12345), (3, 3**25 + 5), (10, 10**12 + 7), (4, 20), (5, 7)):
+        for gapfree, count in ((False, count_b_poly), (True, count_c_poly)):
+            depth = max(r for r, _ in chain(m, n, gapfree)[1])
+            calls.update(residue=0, compose=0)
+            count(m, n, modulus=m**3)
+            assert calls["residue"] == depth - 1, (m, n, gapfree)
+            calls.update(residue=0, compose=0)
+            count(m, n)
+            assert calls == {"residue": 0, "compose": (6 * depth + 5) // 10 - 1}, (m, n, gapfree)
 
 
 def test_poly_counts_are_one_below_the_base():
@@ -271,7 +307,8 @@ def test_count_c_strata_for_4_73():
     # strata by largest part: 1 (all ones) + 18 (top part 4) + 32 (top 16) + 0
     by_top = {}
     for p in enumerate_c(4, 73):
-        by_top[p.top_exponent] = by_top.get(p.top_exponent, 0) + 1
+        top = len(p.mults) - 1
+        by_top[top] = by_top.get(top, 0) + 1
     assert by_top == {0: 1, 1: 18, 2: 32}
     assert count_c_poly(4, 73) == 1 + 18 + 32
 

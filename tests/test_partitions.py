@@ -45,7 +45,7 @@ def test_enumerate_b_ternary_10():
 
 
 def test_enumerate_b_4_36_matches_known_column():
-    rows = [p.padded_msb_first(2) for p in enumerate_b(4, 36)]
+    rows = [(0,) * (3 - len(p.mults)) + p.msb_first() for p in enumerate_b(4, 36)]
     assert len(rows) == 18
     assert rows[0] == (2, 1, 0)
     assert rows[1] == (2, 0, 4)
@@ -60,8 +60,8 @@ def test_enumerate_b_singleton_below_base():
 def test_enumeration_order_is_descending_lex():
     for m, n in [(2, 37), (3, 50), (4, 73), (5, 88)]:
         rows = enumerate_b(m, n)
-        j = max(p.top_exponent for p in rows)
-        padded = [p.padded_msb_first(j) for p in rows]
+        j = max(len(p.mults) - 1 for p in rows)
+        padded = [(0,) * (j + 1 - len(p.mults)) + p.msb_first() for p in rows]
         assert padded == sorted(padded, reverse=True)
         assert len(set(padded)) == len(padded)
 
@@ -95,7 +95,8 @@ def test_enumerate_c_counts():
 def test_enumerate_c_stratified_by_top_exponent():
     by_top = {}
     for p in enumerate_c(4, 73):
-        by_top[p.top_exponent] = by_top.get(p.top_exponent, 0) + 1
+        top = len(p.mults) - 1
+        by_top[top] = by_top.get(top, 0) + 1
     assert by_top == {0: 1, 1: 18, 2: 32}
 
 
