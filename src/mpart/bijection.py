@@ -18,16 +18,14 @@ that take and build the value objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, shown
 from .partitions import MaryPartition, materialise
 from .radix import to_base
 from . import kernels
 
 
-@dataclass(frozen=True)
-class BetaSeq:
+class BetaSeq(Frozen):
     """A candidate sequence (beta_1, ..., beta_j) for n in base m.
 
     ``betas[t-1]`` holds beta_t; there is no beta_0, so the sequence is
@@ -35,19 +33,17 @@ class BetaSeq:
     is_member, not at construction.
     """
 
-    m: int
-    n: int
-    betas: tuple[int, ...]
+    __slots__ = ("m", "n", "betas")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        j = to_base(self.m, self.n).j
-        if len(self.betas) != j:
-            raise ValueError(
-                f"expected {j} entries for n={self.n} in base {self.m}, "
-                f"got {len(self.betas)}"
-            )
+    def __init__(self, m: int, n: int, betas: tuple[int, ...]) -> None:
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        j = to_base(m, n).j
+        if len(betas) != j:
+            raise ValueError(f"expected {j} entries for n={n} in base {m}, got {len(betas)}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "betas", betas)
 
     def msb_first(self) -> tuple[int, ...]:
         """Entries in display order (beta_j, ..., beta_1)."""

@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from . import bijection, congruence, counting, partitions
 from .bijection import BetaSeq, enumerate_members, phi, phi_inv
@@ -165,9 +164,9 @@ def cmd_table(args) -> int:
 def cmd_congruence(args) -> int:
     m, n = args.base, args.n
     if args.property == "churchhouse":
-        if m != 2:
-            print("error: churchhouse congruences are about base 2", file=sys.stderr)
-            return 2
+        if m != 2:  # below 2 the base is named first, as by every other check
+            raise ValueError(f"base must be >= 2, got {m}" if m < 2
+                             else "churchhouse congruences are about base 2")
         first, second = congruence.churchhouse_check(args.k, n)
         print(
             f"first={'PASS' if first else 'FAIL'} "
@@ -180,12 +179,11 @@ def cmd_congruence(args) -> int:
     return 0 if verdict == "PASS" else 1
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    cases_run: int = 0
-    skipped: int = 0
-    failures: list[dict] = field(default_factory=list)
+    def __init__(self, suite: str) -> None:
+        self.suite = suite
+        self.cases_run = self.skipped = 0
+        self.failures: list[dict] = []
 
     def fail(self, m: int, n: int, expected, actual, **extra) -> None:
         record = {"m": m, "n": n, "suite": self.suite,

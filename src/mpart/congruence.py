@@ -17,23 +17,23 @@ would take hours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
+from ._frozen import Frozen
 from .counting import count_b_poly
 from .radix import BaseRepr, chi_vector
 
 
-@dataclass(frozen=True)
-class Residue:
-    value: int
-    modulus: int
+class Residue(Frozen):
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"residue {self.value} not in [0, {self.modulus})")
+    def __init__(self, value: int, modulus: int) -> None:
+        if modulus < 2:
+            raise ValueError(f"modulus must be >= 2, got {modulus}")
+        if not 0 <= value < modulus:
+            raise ValueError(f"residue {value} not in [0, {modulus})")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
 
 
 def _positive_digits(r: BaseRepr) -> tuple[int, ...]:

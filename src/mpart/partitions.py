@@ -8,34 +8,33 @@ base first, then n, then its budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .budgets import enum_budget
 from .radix import to_base
 from . import kernels
 
 
-@dataclass(frozen=True)
-class MaryPartition:
+class MaryPartition(Frozen):
     """Partition of a positive integer into powers of m, as multiplicities.
 
     ``mults[i]`` is the number of parts equal to ``m**i`` (lowest exponent
     first); canonical form has a nonzero top entry.
     """
 
-    m: int
-    mults: tuple[int, ...]
+    __slots__ = ("m", "mults")
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"base must be >= 2, got {self.m}")
-        if not self.mults:
+    def __init__(self, m: int, mults: tuple[int, ...]) -> None:
+        if m < 2:
+            raise ValueError(f"base must be >= 2, got {m}")
+        if not mults:
             raise ValueError("multiplicity vector must not be empty")
-        if min(self.mults) < 0:
-            first = next(lam for lam in self.mults if lam < 0)
+        if min(mults) < 0:
+            first = next(lam for lam in mults if lam < 0)
             raise ValueError(f"negative multiplicity {first}")
-        if self.mults[-1] == 0:
+        if mults[-1] == 0:
             raise ValueError("top multiplicity must be nonzero in canonical form")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "mults", mults)
 
     @classmethod
     def from_mults(cls, m: int, mults) -> MaryPartition:

@@ -24,26 +24,27 @@ and the same shift, reversed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import mul
+
+from ._frozen import Frozen
 
 # Strides whose scaling tables are kept (``_scaling_table``); a process
 # counts at one stride per base.
 SCALING_TABLES = 64
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """coeffs[i] multiplies C(x, i); canonical form has no trailing zero
     coefficient (the zero polynomial is the single coefficient (0,))."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs:
             raise ValueError("coefficient vector must not be empty")
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
+        if len(coeffs) > 1 and coeffs[-1] == 0:
             raise ValueError("top coefficient must be nonzero in canonical form")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs) -> IntPolynomial:

@@ -2,31 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._frozen import Frozen
 
-@dataclass(frozen=True)
-class BaseRepr:
+
+class BaseRepr(Frozen):
     """Digit vector of an integer in base m, least-significant digit first.
 
     ``digits[i]`` is the coefficient of ``m**i``.  The top digit is nonzero,
     except that 0 is represented by the single digit ``(0,)``.
     """
 
-    m: int
-    digits: tuple[int, ...]
+    __slots__ = ("m", "digits")
 
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"base must be >= 2, got {self.m}")
-        if not self.digits:
+    def __init__(self, m: int, digits: tuple[int, ...]) -> None:
+        if m < 2:
+            raise ValueError(f"base must be >= 2, got {m}")
+        if not digits:
             raise ValueError("digit vector must not be empty")
-        for d in self.digits:
-            if not 0 <= d < self.m:
-                raise ValueError(f"digit {d} out of range [0, {self.m})")
-        if len(self.digits) > 1 and self.digits[-1] == 0:
+        for d in digits:  # on small ints this loop beats min() and max() (CPython 3.11)
+            if not 0 <= d < m:
+                raise ValueError(f"digit {d} out of range [0, {m})")
+        if len(digits) > 1 and digits[-1] == 0:
             raise ValueError("most significant digit must be nonzero")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "digits", digits)
 
     @property
     def j(self) -> int:

@@ -252,6 +252,14 @@ def test_congruence_churchhouse_wrong_base(capsys):
     assert "base 2" in err
 
 
+@pytest.mark.parametrize("base", ["0", "1", "-3"])
+def test_congruence_churchhouse_below_base_2_names_the_base(capsys, base):
+    # the base is checked first, as by verify --suite churchhouse and afs-b
+    code, out, err = run(capsys, "congruence", "--property", "churchhouse",
+                         "--base", base, "--n", "3")
+    assert (code, out, err) == (2, "", f"error: base must be >= 2, got {base}\n")
+
+
 def test_verify_suites_pass(capsys):
     for argv in (
         ["verify", "--suite", "oracle-b", "--base-range", "2..5", "--n-range", "1..60"],
@@ -690,3 +698,13 @@ def test_cli_as_a_process(case):
         assert result.stderr.startswith(err)
     else:
         assert result.stderr == err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # together they cost a fresh interpreter more to import than a count takes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import mpart.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-I", "-c", code],
+                            capture_output=True, text=True, timeout=30)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

@@ -1,0 +1,78 @@
+"""The value types behave as frozen records of their fields: they compare
+and hash by class and field tuple, print as ``Name(field=value, ...)``,
+refuse assignment and deletion, build from keywords, and round-trip
+through pickle and copy."""
+
+import copy
+import pickle
+import types
+
+import pytest
+
+from mpart.bijection import BetaSeq
+from mpart.congruence import Residue
+from mpart.partitions import MaryPartition
+from mpart.polysum import IntPolynomial
+from mpart.radix import BaseRepr
+
+# class -> (fields in declaration order, exact repr)
+VALUES = {
+    BaseRepr: ({"m": 4, "digits": (0, 1, 2)}, "BaseRepr(m=4, digits=(0, 1, 2))"),
+    MaryPartition: ({"m": 2, "mults": (1, 2)}, "MaryPartition(m=2, mults=(1, 2))"),
+    BetaSeq: ({"m": 4, "n": 36, "betas": (9, 2)}, "BetaSeq(m=4, n=36, betas=(9, 2))"),
+    IntPolynomial: ({"coeffs": (1, -3, 2)}, "IntPolynomial(coeffs=(1, -3, 2))"),
+    Residue: ({"value": 3, "modulus": 7}, "Residue(value=3, modulus=7)"),
+}
+CLASSES = pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+
+
+@CLASSES
+def test_equal_by_class_and_fields(cls):
+    fields, _ = VALUES[cls]
+    x, y = cls(**fields), cls(**fields)
+    assert x is not y and x == y and not x != y
+    lookalikes = (types.SimpleNamespace(**fields), type("Lookalike", (cls,), {})(**fields),
+                  tuple(fields.values()))
+    for other in lookalikes:
+        assert x != other and other != x and not x == other
+
+
+@CLASSES
+def test_hash_is_the_hash_of_the_field_tuple(cls):
+    fields, _ = VALUES[cls]
+    assert hash(cls(**fields)) == hash(tuple(fields.values()))
+    assert len({cls(**fields), cls(**fields)}) == 1
+
+
+@CLASSES
+def test_repr_names_every_field(cls):
+    fields, text = VALUES[cls]
+    assert repr(cls(**fields)) == text
+
+
+@CLASSES
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    fields, _ = VALUES[cls]
+    x = cls(**fields)
+    for name, value in [*fields.items(), ("extra", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert all(getattr(x, name) == value for name, value in fields.items())
+
+
+@CLASSES
+def test_keyword_and_positional_construction_agree(cls):
+    fields, _ = VALUES[cls]
+    x = cls(**fields)
+    assert x == cls(*fields.values())
+    assert tuple(getattr(x, name) for name in fields) == tuple(fields.values())
+
+
+@CLASSES
+def test_pickle_and_copy_round_trip(cls):
+    fields, text = VALUES[cls]
+    x = cls(**fields)
+    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(clone) is cls and clone == x and repr(clone) == text
