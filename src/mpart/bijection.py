@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, shown
-from .partitions import MaryPartition, materialise
+from .partitions import MaryPartition, _value, materialise
 from .radix import to_base
 from . import kernels
 
@@ -48,15 +48,6 @@ class BetaSeq(Frozen):
     def msb_first(self) -> tuple[int, ...]:
         """Entries in display order (beta_j, ..., beta_1)."""
         return tuple(reversed(self.betas))
-
-
-def _value(m: int, vector) -> int:
-    """sum(vector[t] * m**t): the weight of a multiplicity vector or the
-    integer a digit vector spells."""
-    total = 0
-    for x in reversed(vector):
-        total = total * m + x
-    return total
 
 
 def carry_betas(m: int, alpha, mults) -> tuple[int, ...]:

@@ -109,10 +109,7 @@ def _answers(routes, m: int, n: int) -> tuple[list[tuple[str, int]], int]:
 def cmd_count(args) -> int:
     routes = B_ROUTES if args.kind == "b" else C_ROUTES
     if args.check:
-        answers, _ = _answers(routes, args.base, args.n)
-        if not answers:
-            print("error: every applicable method exceeded its budget", file=sys.stderr)
-            return 2
+        answers, _ = _answers(routes, args.base, args.n)  # poly has no budget
         if len({value for _, value in answers}) > 1:
             for method, value in answers:
                 print(f"{method} {value}")

@@ -42,7 +42,7 @@ from .polysum import (
     evaluation_covector,
     prefix_sum_transposed,
 )
-from .radix import chi_vector, to_base  # chi_vector stays importable from here
+from .radix import to_base
 from . import kernels
 
 # Entries kept by the residue route's level memo (``_residue_level``): room
@@ -129,7 +129,7 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
         raise ValueError(f"modulus must be positive, got {modulus}")
     split = depth if modulus else (6 * depth + 5) // 10  # round(0.6 * depth)
     total = 0
-    s = IntPolynomial.constant(1).prefix_sum()
+    s = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
     for t in range(1, split + 1):
         if t in tops:
             total += s.eval(tops[t])

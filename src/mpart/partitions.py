@@ -52,12 +52,18 @@ class MaryPartition(Frozen):
         return tuple(reversed(self.mults))
 
 
+def _value(m: int, vector) -> int:
+    """sum(vector[t] * m**t): the weight of a multiplicity vector or the
+    integer a digit vector spells."""
+    total = 0
+    for x in reversed(vector):
+        total = total * m + x
+    return total
+
+
 def weight(p: MaryPartition) -> int:
     """The integer the partition sums to."""
-    total = 0
-    for lam in reversed(p.mults):
-        total = total * p.m + lam
-    return total
+    return _value(p.m, p.mults)
 
 
 def is_gap_free(p: MaryPartition) -> bool:

@@ -54,10 +54,6 @@ class IntPolynomial(Frozen):
             c.pop()
         return cls(tuple(c) if c else (0,))
 
-    @classmethod
-    def constant(cls, value: int) -> IntPolynomial:
-        return cls((value,))
-
     @property
     def degree(self) -> int:
         """Formal degree; the zero polynomial degenerates to 0."""

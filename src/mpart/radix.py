@@ -39,13 +39,12 @@ class BaseRepr(Frozen):
         return tuple(reversed(self.digits))
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=256)
 def to_base(m: int, n: int) -> BaseRepr:
-    """Base-m digits of n (least significant first).
-
-    Cached: representations are immutable and requested repeatedly by the
-    sequence-map and counting layers.
-    """
+    """Base-m digits of n (least significant first), cached for the 256
+    (m, n) used last: nearly every reuse (a count's (m, n) gate then its
+    digits, each ``BetaSeq``'s length check) follows a call with the same
+    key, and a large n's digits take kilobytes."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:

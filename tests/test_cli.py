@@ -51,6 +51,18 @@ def test_count_check_agreement(capsys):
     assert (code, out) == (0, "51\n")
 
 
+@pytest.mark.parametrize("n", [0, 1, 100, 2**70])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("kind", ["b", "c"])
+def test_count_check_at_budget_zero_answers_from_poly(capsys, set_budget, kind, m, n):
+    # every budgeted route refuses (or agrees), and poly has no budget
+    set_budget(0)
+    poly = counting.count_b_poly if kind == "b" else counting.count_c_poly
+    code, out, err = run(capsys, "count", "--kind", kind, "--base", str(m),
+                         "--n", str(n), "--check")
+    assert (code, out, err) == (0, f"{poly(m, n)}\n", "")
+
+
 def test_count_method_kind_mismatch(capsys):
     code, _, err = run(capsys, "count", "--kind", "c", "--base", "3",
                        "--n", "10", "--method", "gf")
@@ -708,3 +720,28 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     result = subprocess.run([sys.executable, "-I", "-c", code],
                             capture_output=True, text=True, timeout=30)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_afs_b_sweep_at_a_large_n_keeps_its_digit_cache_bounded():
+    # each point's digits take about 9 KB at 2^1100; 2000 points make 4000
+    # to_base misses, about 35 MiB if the digit cache kept them all
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"""
+import contextlib, io, resource, sys
+sys.path.insert(0, {src!r})
+from mpart.cli import main
+def sweep(lo, hi):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["verify", "--suite", "afs-b", "--base-range", "2..2",
+                     f"--n-range={{lo}}..{{hi}}"]) == 0, out.getvalue()
+n = 2**1100
+sweep(n, n + 9)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sweep(n + 10, n + 2009)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    result = subprocess.run([sys.executable, "-I", "-c", code],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert int(result.stdout) < 10 * 1024  # KiB

@@ -10,7 +10,6 @@ from mpart.bijection import enumerate_members
 from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, TableBudgetExceeded
 from mpart.cli import _full_decimal
 from mpart.counting import (
-    chi_vector,
     count_b_gf,
     count_b_nested,
     count_b_poly,
@@ -21,7 +20,7 @@ from mpart.counting import (
 )
 from mpart.kernels import chain
 from mpart.partitions import count_b_enum, count_c_enum, enumerate_b, enumerate_c
-from mpart.radix import to_base
+from mpart.radix import chi_vector, to_base
 
 
 def test_chi_vector_known_cases():
