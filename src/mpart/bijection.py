@@ -36,9 +36,9 @@ class BetaSeq(Frozen):
     __slots__ = ("m", "n", "betas")
 
     def __init__(self, m: int, n: int, betas: tuple[int, ...]) -> None:
+        j = to_base(m, n).j
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
-        j = to_base(m, n).j
         if len(betas) != j:
             raise ValueError(f"expected {j} entries for n={n} in base {m}, got {len(betas)}")
         object.__setattr__(self, "m", m)

@@ -89,7 +89,7 @@ def count_b_gf(m: int, upto: int) -> list[int]:
     return coeffs
 
 
-def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
+def _chain_total(m: int, offsets, strata, modulus: int | None = None, total: int = 0) -> int:
     """The vector count of a ``kernels.chain``, collapsed level by level:
     h_0 = 1, S_t is the prefix sum of h_{t-1}, and h_t(k) = S_t(offsets[t]
     + m*k), each level one prefix sum plus one affine substitution in the
@@ -97,15 +97,16 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
 
     Every level map and every stratum's evaluation is linear in the
     coefficients, so the loop meets in the middle, at a split level t*.
-    One bottom-up loop steps S_1 .. S_{t*}, adding the strata r <= t*.
-    Above the split the loop runs transposed, top-down, on a covector w_t
-    whose dot product with S_t is the sum of the strata r >= t: w_depth =
-    (C(top_depth, i))_i, and w_{t-1} is w_t carried through the transposed
-    prefix sum and substitution (``polysum``), plus (C(top_{t-1}, i))_i
-    for a stratum t - 1 > t*.  One dot product of the covector at level t*
-    with S_{t*} joins the halves.  The coefficients of S_t grow with t and
-    the covector's entries with depth - t, so for the exact count t* =
-    round(0.6 * depth) and each half runs where its numbers are small.
+    One bottom-up loop steps S_1 .. S_{t*}, adding the strata r <= t* to
+    ``total`` (the count's starting value).  Above the split the loop runs
+    transposed, top-down, on a covector w: w starts at zero, and at each
+    level t > t* the loop adds stratum t's covector (C(top_t, i))_i, then
+    carries w down one level through the transposed prefix sum and
+    substitution (``polysum``).  One dot product of w with S_{t*} joins the
+    halves; at t* = depth the top loop does not run and the join adds 0.
+    The coefficients of S_t grow with t and the covector's entries with
+    depth - t, so for the exact count t* = round(0.6 * depth) and each half
+    runs where its numbers are small.
 
     With ``modulus`` M the count comes back mod M.  The prefix sum, the
     substitution (a shift, ``polysum._shift``, and an integer table T) and
@@ -128,7 +129,6 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
     if modulus is not None and modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
     split = depth if modulus else (6 * depth + 5) // 10  # round(0.6 * depth)
-    total = 0
     s = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
     for t in range(1, split + 1):
         if t in tops:
@@ -138,13 +138,11 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None) -> int:
                  else _residue_level(m, modulus, s.coeffs, offsets[t]))
     if modulus is not None:
         return total % modulus
-    if split == depth:
-        return total
-    w = evaluation_covector(tops[depth], depth)
+    w = [0] * (depth + 1)
     for t in range(depth, split, -1):
+        if t in tops:
+            w = list(map(add, w, evaluation_covector(tops[t], t)))
         w = compose_affine_transposed(prefix_sum_transposed(w), m, offsets[t - 1])
-        if t - 1 > split and t - 1 in tops:
-            w = list(map(add, w, evaluation_covector(tops[t - 1], t - 1)))
     return total + sum(map(mul, w, s.coeffs))
 
 
@@ -200,13 +198,12 @@ def count_b_nested(m: int, n: int) -> int:
 
 
 def count_c_poly(m: int, n: int, modulus: int | None = None) -> int:
-    """Gap-free count: 1 (the all-ones partition) plus the strata of
-    ``kernels.chain``, counted from zero and collapsed by the level loop of
-    ``count_b_poly``, each level built once for every stratum.  With
-    ``modulus`` M it returns c(m, n) mod M exactly, as ``count_b_poly``
-    does."""
-    total = _chain_total(m, *kernels.chain(m, n, gapfree=True), modulus)
-    return 1 + total if modulus is None else (1 + total) % modulus
+    """Gap-free count: the strata of ``kernels.chain``, collapsed by the
+    level loop of ``count_b_poly``, each level built once for every
+    stratum, with the all-ones partition as the loop's starting total.
+    With ``modulus`` M it returns c(m, n) mod M exactly, as
+    ``count_b_poly`` does."""
+    return _chain_total(m, *kernels.chain(m, n, gapfree=True), modulus, total=1)
 
 
 def count_c_nested(m: int, n: int) -> int:

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from mpart import kernels
-from mpart.bijection import enumerate_members
+from mpart.bijection import BetaSeq, enumerate_members
 from mpart.budgets import BudgetExceeded
 from mpart.counting import (
     count_b_gf,
@@ -17,23 +17,31 @@ from mpart.counting import (
     count_c_poly,
     recurrence_table,
 )
-from mpart.partitions import count_b_enum, count_c_enum, enumerate_b, enumerate_c
+from mpart.partitions import (
+    count_b_enum,
+    count_c_enum,
+    enumerate_b,
+    enumerate_c,
+    multiplicity_tuples,
+)
 from mpart.polysum import IntPolynomial, compose_affine_transposed
 
 WALKERS = (kernels.nested_sum_b, kernels.nested_sum_c, kernels.walk_partitions,
            kernels.walk_gapfree)
 POLY = (count_b_poly, count_c_poly)
 BUDGETED = (count_b_nested, count_c_nested, count_b_enum, count_c_enum, enumerate_b,
-            enumerate_c, enumerate_members)
+            enumerate_c, enumerate_members, multiplicity_tuples)
 TABLES = (recurrence_table, count_b_gf)
 
-# (entry point, its third argument: the walker's cap or the modulus, or the
-# value its budget variable is set to, None for the variable as ``env`` left it)
+# (entry point, its third argument: the walker's cap, the modulus or the
+# sequence's entries, or the value its budget variable is set to, None for
+# the variable as ``env`` left it)
 ENTRIES = [
     *[(f, cap) for f in WALKERS for cap in (0, 10)],
     *[(f, modulus) for f in POLY for modulus in (None, 0, 2)],
     *[(f, budget) for f in BUDGETED for budget in (None, 0)],
     *[(f, None) for f in TABLES],
+    (BetaSeq, ()),
 ]
 
 
