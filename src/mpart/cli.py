@@ -3,8 +3,9 @@ partition/sequence maps, correspondence tables, congruence checks, and
 bulk verification sweeps.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-resource error.  Counts are always printed in full decimal; verification
-failures are emitted as JSON lines with big integers as decimal strings.
+resource error, and 2 also when the output pipe closes early.  Counts are
+always printed in full decimal; verification failures are emitted as JSON
+lines with big integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from contextlib import contextmanager
 
-from . import bijection, congruence, counting, partitions
+from . import bijection, congruence, counting, kernels, partitions
 from .bijection import BetaSeq, enumerate_members, phi, phi_inv
 from .budgets import BudgetExceeded
 from .partitions import MaryPartition
@@ -146,15 +148,31 @@ def cmd_phi_inv(args) -> int:
     return 0
 
 
+# table prints its rows every TABLE_CHUNK rows, so it holds one chunk in
+# memory however many partitions n has, and still writes in large blocks
+TABLE_CHUNK = 4096
+
+
 def cmd_table(args) -> int:
     m = args.base
     alpha = to_base(m, args.n).digits
     carry = bijection.carry_betas
+    # one row format per call: j + 1 multiplicities, a tab, j sequence entries
+    row = ",".join(["%d"] * len(alpha)) + "\t" + ",".join(["%d"] * (len(alpha) - 1))
+    rows = []
+
     # the walk's vectors carry every exponent up to j, so they are the padded
     # display; phi reverses lex order, so the descending partitions come out
     # in ascending order of their sequences
-    print("\n".join(f"{_fmt(mults[::-1])}\t{_fmt(carry(m, alpha, mults)[::-1])}"
-                    for mults in partitions.multiplicity_tuples(m, args.n)))
+    def leaf(mults):
+        rows.append(row % (*mults[::-1], *carry(m, alpha, mults)[::-1]))
+        if len(rows) == TABLE_CHUNK:
+            print("\n".join(rows))
+            rows.clear()
+
+    partitions.visit_leaves(kernels.walk_partitions, m, args.n, leaf)
+    if rows:
+        print("\n".join(rows))
     return 0
 
 
@@ -383,9 +401,18 @@ def main(argv=None) -> int:
     with _full_decimal():
         args = build_parser().parse_args(argv)
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()  # a closed pipe raises here, not at exit
+            return code
         except (BudgetExceeded, RecursionError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except BrokenPipeError:
+            # the reader is gone: send what is still buffered to devnull, so
+            # the flush at interpreter exit cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             return 2
 
 

@@ -71,38 +71,36 @@ def is_gap_free(p: MaryPartition) -> bool:
     return all(lam > 0 for lam in p.mults)
 
 
-def materialise(walk, m: int, n: int, build) -> list:
-    """build(buffer) at every leaf of ``walk``, a kernels walker called as
+def visit_leaves(walk, m: int, n: int, leaf) -> None:
+    """leaf(buffer) at every leaf of ``walk``, a kernels walker called as
     walk(m, n, cap[, leaf]), in the walk's order.
 
     (m, n) is checked through ``to_base``, then n >= 1, then
     ``MPART_ENUM_BUDGET`` is read once as cap.  A first walk without a leaf
     counts against cap, so the walker raises its own budget error before
-    anything is kept; a second walk of the same walker keeps the leaves.
+    any leaf is visited; a second walk of the same walker visits them.
     """
     to_base(m, n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget()
     walk(m, n, cap)
+    walk(m, n, cap, leaf)
+
+
+def materialise(walk, m: int, n: int, build) -> list:
+    """build(buffer) at every leaf of ``walk``, in the walk's order, kept in
+    a list: ``visit_leaves`` with a leaf that appends."""
     out = []
-    walk(m, n, cap, lambda buffer: out.append(build(buffer)))
+    visit_leaves(walk, m, n, lambda buffer: out.append(build(buffer)))
     return out
-
-
-def multiplicity_tuples(m: int, n: int) -> list[tuple[int, ...]]:
-    """The multiplicity vectors of enumerate_b(m, n), in its order, each
-    with j + 1 entries (zeros above the largest part kept), as plain tuples:
-    ``materialise`` over ``kernels.walk_partitions``.
-    """
-    return materialise(kernels.walk_partitions, m, n, tuple)
 
 
 def enumerate_b(m: int, n: int) -> list[MaryPartition]:
     """All m-ary partitions of n, in descending lexicographic order on the
     multiplicity tuple read largest exponent first (padded to the top
-    exponent of n): ``multiplicity_tuples`` as value objects, each built at
-    its leaf by ``materialise``.
+    exponent of n): ``materialise`` over ``kernels.walk_partitions``, each
+    vector built into a value object at its leaf.
     """
     return materialise(kernels.walk_partitions, m, n,
                        lambda mults: MaryPartition.from_mults(m, mults))

@@ -22,7 +22,6 @@ from mpart.partitions import (
     count_c_enum,
     enumerate_b,
     enumerate_c,
-    multiplicity_tuples,
 )
 from mpart.polysum import IntPolynomial, compose_affine_transposed
 
@@ -30,7 +29,7 @@ WALKERS = (kernels.nested_sum_b, kernels.nested_sum_c, kernels.walk_partitions,
            kernels.walk_gapfree)
 POLY = (count_b_poly, count_c_poly)
 BUDGETED = (count_b_nested, count_c_nested, count_b_enum, count_c_enum, enumerate_b,
-            enumerate_c, enumerate_members, multiplicity_tuples)
+            enumerate_c, enumerate_members)
 TABLES = (recurrence_table, count_b_gf)
 
 # (entry point, its third argument: the walker's cap, the modulus or the

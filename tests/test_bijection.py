@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpart import counting
+from mpart import counting, kernels
 from mpart.bijection import (
     BetaSeq,
     carry_betas,
@@ -16,7 +16,7 @@ from mpart.bijection import (
 )
 from mpart.budgets import EnumerationBudgetExceeded
 from mpart.counting import recurrence_table
-from mpart.partitions import MaryPartition, enumerate_b, multiplicity_tuples, weight
+from mpart.partitions import MaryPartition, enumerate_b, materialise, weight
 from mpart.radix import to_base
 
 # the full correspondence for base 4, n = 36 (multiplicities and sequences
@@ -179,7 +179,7 @@ def test_wrappers_agree_with_the_carry_cores():
                 assert phi_inv(b).mults == carry_mults(m, alpha, b.betas)
                 assert is_member(b)
             # the walk keeps every exponent up to j; stripped, it is parts
-            assert multiplicity_tuples(m, n) == [
+            assert materialise(kernels.walk_partitions, m, n, tuple) == [
                 p.mults + (0,) * (len(alpha) - len(p.mults)) for p in parts]
 
 

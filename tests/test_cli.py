@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from mpart import bijection, cli, congruence, counting
+from mpart import bijection, cli, congruence, counting, kernels
 from mpart.cli import main
 from mpart.counting import count_b_poly
-from mpart.partitions import count_c_enum
+from mpart.partitions import count_c_enum, materialise
 from mpart.radix import to_base
 
 GOLDEN = Path(__file__).parent / "golden" / "table_4_36.tsv"
@@ -191,6 +191,25 @@ def test_table_rows_ascend_by_sequence_as_walked(capsys):
                      for line in out.splitlines()]
             assert (code, len(betas)) == (0, table[n]), (m, n)
             assert all(a < b for a, b in zip(betas, betas[1:])), (m, n)
+
+
+# (2, 80) has TABLE_CHUNK + 28 rows and (2, 100) two chunks and 1,636 more;
+# n < m gives the row format without a sequence column
+TABLE_POINTS = [(m, n) for m in range(2, 7) for n in range(1, 81)] + [
+    (7, 6), (10, 25), (10**5, 7), (2, 80), (2, 100)]
+
+
+def test_table_rows_render_every_walked_partition_across_chunks(capsys):
+    assert cli.TABLE_CHUNK == 4096
+    for m, n in TABLE_POINTS:
+        alpha = to_base(m, n).digits
+        parts = materialise(kernels.walk_partitions, m, n, tuple)
+        expected = "".join(
+            ",".join(map(str, t[::-1])) + "\t"
+            + ",".join(map(str, bijection.carry_betas(m, alpha, t)[::-1])) + "\n"
+            for t in parts)
+        assert run(capsys, "table", "--base", str(m), "--n", str(n)) == (0, expected, ""), (m, n)
+        assert len(parts) == count_b_poly(m, n), (m, n)
 
 
 def test_phi_and_inverse(capsys):
@@ -745,3 +764,54 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
     assert int(result.stdout) < 10 * 1024  # KiB
+
+
+def test_table_into_a_closed_pipe_exits_2_without_a_traceback():
+    # the reader takes one row and goes; the next chunk's write finds the pipe
+    # closed, and so would the flush at interpreter exit
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    with subprocess.Popen([sys.executable, "-m", "mpart.cli", "table", "--base", "2",
+                           "--n", "200"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"1,1,0,0,1,0,0,0\t0,0,0,0,0,0,0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=30), err) == (2, b"")
+
+
+def test_short_output_into_a_closed_pipe_exits_2_without_a_traceback():
+    # with stdout buffered, one line stays in the buffer until the command
+    # returns; its flush meets a pipe whose reader closed before the start
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "mpart.cli", "digits", "--base", "4",
+                                 "--n", "36"], stdout=write_end, stderr=subprocess.PIPE,
+                                env=env, timeout=30)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (2, b"")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_table_memory_stays_at_one_chunk():
+    # (2, 200) has 205,658 rows, about 50 MiB if they were all kept; (2, 10)
+    # has 14, so the gap is what the rows themselves cost
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = """
+import resource, subprocess, sys
+with open("/dev/null", "w") as null:
+    subprocess.run([sys.executable, "-m", "mpart.cli", *sys.argv[1:]], stdout=null, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+    def peak(n):
+        result = subprocess.run([sys.executable, "-c", code, "table", "--base", "2",
+                                 "--n", str(n)], capture_output=True, text=True, env=env,
+                                timeout=60)
+        assert (result.returncode, result.stderr) == (0, "")
+        return int(result.stdout)
+
+    assert peak(200) - peak(10) < 10 * 1024  # KiB

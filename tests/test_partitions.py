@@ -14,7 +14,6 @@ from mpart.partitions import (
     enumerate_c,
     is_gap_free,
     materialise,
-    multiplicity_tuples,
     weight,
 )
 
@@ -191,7 +190,7 @@ def test_walk_counts_refuse_huge_n_before_recursing():
 # the enumeration built on it keeps, as the buffers the walker shows)
 MATERIALISED_WALKS = {
     "walk_partitions": (EnumerationBudgetExceeded, "more than {} partitions of 100 in base 3",
-                        lambda: multiplicity_tuples(3, 100)),
+                        lambda: materialise(kernels.walk_partitions, 3, 100, tuple)),
     "walk_gapfree": (EnumerationBudgetExceeded, "more than {} gap-free partitions of 100 in base 3",
                      lambda: [tuple(lam - 1 for lam in p.mults) for p in enumerate_c(3, 100)]),
     "nested_sum_b": (LoopBudgetExceeded, "nested summation for base 3, n=100 exceeded budget {}",
