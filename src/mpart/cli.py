@@ -157,20 +157,33 @@ def cmd_table(args) -> int:
     m = args.base
     alpha = to_base(m, args.n).digits
     carry = bijection.carry_betas
-    # one row format per call: j + 1 multiplicities, a tab, j sequence entries
-    row = ",".join(["%d"] * len(alpha)) + "\t" + ",".join(["%d"] * (len(alpha) - 1))
     rows = []
+    row, fixed = None, 0  # the current run's format and beta_1 + lambda_1
 
     # the walk's vectors carry every exponent up to j, so they are the padded
     # display; phi reverses lex order, so the descending partitions come out
-    # in ascending order of their sequences
+    # in ascending order of their sequences.  Within an innermost run only
+    # lambda_1 (down by one), lambda_0 (up by m) and beta_1 = alpha_1 -
+    # lambda_1 + m*beta_2 change, so beta_1 + lambda_1 is fixed: the carry
+    # runs at the run's first leaf, lambda_0 < m, which also renders the
+    # row format's fixed fields lambda_j..lambda_2 and beta_j..beta_2.
     def leaf(mults):
-        rows.append(row % (*mults[::-1], *carry(m, alpha, mults)[::-1]))
+        nonlocal row, fixed
+        lam, rest = mults[1], mults[0]
+        if rest < m:
+            betas = carry(m, alpha, mults)
+            fixed = betas[0] + lam
+            row = ("".join([f"{x}," for x in mults[:1:-1]]) + "%d,%d\t"
+                   + "".join([f"{x}," for x in betas[:0:-1]]) + "%d")
+        rows.append(row % (lam, rest, fixed - lam))
         if len(rows) == TABLE_CHUNK:
             print("\n".join(rows))
             rows.clear()
 
-    partitions.visit_leaves(kernels.walk_partitions, m, args.n, leaf)
+    def single(mults):  # n < m: one multiplicity and an empty sequence
+        rows.append("%d\t" % mults[0])
+
+    partitions.visit_leaves(kernels.walk_partitions, m, args.n, leaf if len(alpha) > 1 else single)
     if rows:
         print("\n".join(rows))
     return 0

@@ -165,16 +165,23 @@ def count_b_poly(m: int, n: int, modulus: int | None = None) -> int:
 
 
 def b_estimate(m: int, n: int, cap: int) -> int:
-    """b(m, n) exactly, or the lower bound n//m + 1 when that alone exceeds
-    cap: the partitions into parts 1 and m already number n//m + 1.  Either
-    way the result exceeds cap exactly when b(m, n) does, and the exact
-    count is only taken for n below about m*cap, where it is cheap.  The
-    two nested routes check it after (m, n) and before walking, so that
-    their refusal can name the count they would need."""
-    floor = n // m + 1
-    if floor > cap:
-        return floor
-    return count_b_poly(m, n)
+    """The lower bound n//m + 1 when that alone exceeds cap: the partitions
+    into parts 1 and m already number n//m + 1.  Otherwise the upper bound
+    prod_{t=1..j} (n//m**t + 1) when that is at most cap, since each member
+    has 0 <= beta_t <= n//m**t; otherwise b(m, n) exactly.  Either way the
+    result exceeds cap exactly when b(m, n) does, and the exact count is
+    only taken for n below about m*cap, where it is cheap, and only where
+    the upper bound passes cap.  The two nested routes check it after
+    (m, n) and before walking, so that their refusal can name the count
+    they would need."""
+    q = n // m
+    bound = q + 1  # the floor, and the upper bound's t = 1 factor
+    if bound > cap:
+        return bound
+    while q >= m and bound <= cap:
+        q //= m
+        bound *= q + 1
+    return bound if bound <= cap else count_b_poly(m, n)
 
 
 def count_b_nested(m: int, n: int) -> int:
@@ -182,9 +189,9 @@ def count_b_nested(m: int, n: int) -> int:
 
     The innermost step count equals the answer itself, so
     ``MPART_LOOP_BUDGET`` is checked up front (against the lower bound
-    n//m + 1 or the polynomial count, see ``b_estimate``); the walker keeps
-    its own count against it.  n < m takes the same path, one step, so
-    budget 0 refuses it too.
+    n//m + 1, an upper bound or the polynomial count, see ``b_estimate``);
+    the walker keeps its own count against it.  n < m takes the same path,
+    one step, so budget 0 refuses it too.
     """
     to_base(m, n)
     cap = loop_budget()

@@ -170,7 +170,11 @@ def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, leaf=No
 
 def walk_partitions(m: int, n: int, cap: int, leaf=None) -> int:
     """Number of m-ary partitions of n by direct multiplicity recursion.
-    ``leaf`` sees mults with j + 1 entries."""
+    ``leaf`` sees mults with j + 1 entries.  By the descending lexicographic
+    order the leaves come in innermost runs, one per (lambda_2, ...,
+    lambda_j): a run starts at the one leaf with lambda_0 < m, where
+    lambda_1 is largest, and each later leaf of it has lambda_1 one less and
+    lambda_0 m more than the leaf before."""
     j = to_base(m, n).j
     refusal = f"more than {shown(cap)} partitions of {shown(n)} in base {shown(m)}"
     if n // m + 1 > cap:

@@ -194,9 +194,10 @@ def test_table_rows_ascend_by_sequence_as_walked(capsys):
 
 
 # (2, 80) has TABLE_CHUNK + 28 rows and (2, 100) two chunks and 1,636 more;
-# n < m gives the row format without a sequence column
+# n < m gives the row format without a sequence column; (10**5, 10**10 + 7)
+# has two innermost runs, of 1 and 100,001 rows, across 25 chunks
 TABLE_POINTS = [(m, n) for m in range(2, 7) for n in range(1, 81)] + [
-    (7, 6), (10, 25), (10**5, 7), (2, 80), (2, 100)]
+    (7, 6), (10, 25), (10**5, 7), (2, 80), (2, 100), (10, 1234), (10**5, 10**10 + 7)]
 
 
 def test_table_rows_render_every_walked_partition_across_chunks(capsys):
@@ -210,6 +211,21 @@ def test_table_rows_render_every_walked_partition_across_chunks(capsys):
             for t in parts)
         assert run(capsys, "table", "--base", str(m), "--n", str(n)) == (0, expected, ""), (m, n)
         assert len(parts) == count_b_poly(m, n), (m, n)
+
+
+def test_table_runs_the_carry_once_per_innermost_run(capsys, monkeypatch):
+    # the carry runs at each run's first leaf, lambda_0 < m, and nowhere else
+    for m, n, runs in ((2, 78, 330), (3, 213, 162), (10, 1234, 16)):
+        expected = run(capsys, "table", "--base", str(m), "--n", str(n))
+        calls = []
+        carry = bijection.carry_betas
+        monkeypatch.setattr(bijection, "carry_betas",
+                            lambda *args: calls.append(args[2][0]) or carry(*args))
+        assert run(capsys, "table", "--base", str(m), "--n", str(n)) == expected
+        monkeypatch.undo()
+        starts = materialise(kernels.walk_partitions, m, n, lambda lams: lams[0] < m)
+        assert len(calls) == starts.count(True) == runs, (m, n)
+        assert all(rest < m for rest in calls)
 
 
 def test_phi_and_inverse(capsys):

@@ -371,6 +371,27 @@ def test_nested_refusal_is_exact(set_budget):
                 count_c_nested(m, n)
 
 
+def test_estimate_exceeds_cap_exactly_when_b_does():
+    # whether b_estimate answers with its floor, its upper bound or the
+    # exact count, it lies on the same side of cap as b(m, n)
+    for m in range(2, 8):
+        exact = [count_b_poly(m, n) for n in range(3000)]
+        for n, b in enumerate(exact):
+            for cap in (0, 1, 10, 100, 10**4, 10**6):
+                assert (counting.b_estimate(m, n, cap) > cap) == (b > cap), (m, n, cap)
+
+
+def test_nested_route_skips_the_exact_count_under_the_upper_bound(monkeypatch):
+    # prod (1300//5**t + 1) = 261*53*11*3 is far below the default budget, so
+    # the pre-check needs no polynomial count before the walk
+    calls = []
+    poly = counting.count_b_poly
+    monkeypatch.setattr(counting, "count_b_poly",
+                        lambda m, n, *rest: calls.append((m, n)) or poly(m, n, *rest))
+    assert count_b_nested(5, 1300) == poly(5, 1300)
+    assert calls == []
+
+
 def test_brute_force_routes_check_their_budget_below_the_base(set_budget):
     # n < m has one partition and one sequence, walked like any other, so
     # budget 0 refuses it and budget 1 lets it through

@@ -178,6 +178,23 @@ def test_leaf_walks_visit_every_leaf_in_order(m, n):
     assert mults == sorted(set(mults), key=lambda lams: lams[::-1], reverse=True)
 
 
+RUN_CASES = [(m, n) for m in range(2, 7) for n in range(151)] + [(10, 1234), (10**5, 10**10 + 7)]
+
+
+def test_partition_walk_leaves_come_in_innermost_runs():
+    # a run starts exactly at lambda_0 < m, once per (lambda_2, ..., lambda_j);
+    # inside it each leaf is the one before with lambda_1 - 1 and lambda_0 + m,
+    # so beta_1 + lambda_1 stays fixed over the run (the table relies on this)
+    for m, n in RUN_CASES:
+        leaves = []
+        kernels.walk_partitions(m, n, 10**6, lambda lams: leaves.append(tuple(lams)))
+        starts = [lams[2:] for lams in leaves if lams[0] < m]
+        assert leaves[0][0] < m, (m, n)
+        for before, lams in zip(leaves, leaves[1:]):
+            assert lams[0] < m or lams == (before[0] + m, before[1] - 1, *before[2:]), (m, n)
+        assert len(starts) == len(set(starts)) == len({lams[2:] for lams in leaves}), (m, n)
+
+
 @pytest.fixture
 def default_int_str_limit():
     """The interpreter's default int -> str limit, 4300 digits."""
