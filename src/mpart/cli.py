@@ -17,11 +17,11 @@ import os
 import sys
 from contextlib import contextmanager
 
-from . import bijection, congruence, counting, kernels, partitions
+from . import bijection, congruence, counting, kernels, partitions, radix
 from .bijection import BetaSeq, enumerate_members, phi, phi_inv
 from .budgets import BudgetExceeded
 from .partitions import MaryPartition
-from .radix import to_base
+from .radix import BaseRepr, to_base
 
 # Routes, residue checks and suite runners look library functions up in their
 # module at call time, so a rebound module attribute (tracer, monkeypatch) counts.
@@ -41,33 +41,35 @@ C_ROUTES = {
 }
 
 
-# These two check (m, n) through to_base first, so that an invalid n is named
-# as given, never as m^3 n; the actual side still comes first.
-def _afs_equiv(m: int, n: int) -> tuple[int, int]:
-    r = to_base(m, n)
-    actual = congruence.afs_c_mod(r).value
-    return congruence.c_mod_formula(r).value, actual
+def _predicted(predict, m: int, ns: range):
+    """A digit prediction's residue at each n of ``ns``, from n's digits."""
+    return (predict(BaseRepr(m, tuple(digits))).value
+            for _, digits, _ in radix.consecutive_digits(m, ns))
 
 
-def _reduction(m: int, n: int) -> tuple[int, int]:
-    to_base(m, n)
-    actual = counting.count_c_poly(m, m**3 * n, modulus=m)
-    return counting.count_c_poly(m, m * n, modulus=m), actual
+def _afs_equiv(m: int, ns: range):
+    for n in ns:
+        r = to_base(m, n)
+        actual = congruence.afs_c_mod(r).value
+        yield congruence.c_mod_formula(r).value, actual
 
 
-# property -> (expected, actual) residues mod m at (m, n): afs-b, afs-c and
-# afs-c-ell predict b or c at m*n; afs-equiv sets the two c forms against each
-# other; reduction sets c(m^3 n) against c(m n).  Counts are taken mod m by
-# the poly route's level loop, never in full.
+# property -> (expected, actual) residues mod m at each n of a consecutive
+# range, at base m: afs-b, afs-c and afs-c-ell predict b or c at m*n;
+# afs-equiv sets the two c forms against each other; reduction sets c(m^3 n)
+# against c(m n).  Counts come mod m from the residue route's blocks, never
+# in full; each block checks (m, n) of the range's first n through to_base
+# as it is made, so an invalid n is named as given, never as m^3 n.
 RESIDUES = {
-    "afs-b": lambda m, n: (congruence.b_mod_product(to_base(m, n)).value,
-                           counting.count_b_poly(m, m * n, modulus=m)),
-    "afs-c": lambda m, n: (congruence.c_mod_formula(to_base(m, n)).value,
-                           counting.count_c_poly(m, m * n, modulus=m)),
-    "afs-c-ell": lambda m, n: (congruence.afs_c_mod(to_base(m, n)).value,
-                               counting.count_c_poly(m, m * n, modulus=m)),
+    "afs-b": lambda m, ns: zip(_predicted(congruence.b_mod_product, m, ns),
+                               counting.count_b_residues(m, ns, m, 1)),
+    "afs-c": lambda m, ns: zip(_predicted(congruence.c_mod_formula, m, ns),
+                               counting.count_c_residues(m, ns, m, 1)),
+    "afs-c-ell": lambda m, ns: zip(_predicted(congruence.afs_c_mod, m, ns),
+                                   counting.count_c_residues(m, ns, m, 1)),
     "afs-equiv": _afs_equiv,
-    "reduction": _reduction,
+    "reduction": lambda m, ns: zip(counting.count_c_residues(m, ns, m, 1),
+                                   counting.count_c_residues(m, ns, m, 3)),
 }
 
 
@@ -201,7 +203,7 @@ def cmd_congruence(args) -> int:
             f"second={'PASS' if second else 'FAIL'}"
         )
         return 0 if first and second else 1
-    predicted, actual = RESIDUES[args.property](m, n)
+    [(predicted, actual)] = RESIDUES[args.property](m, range(n, n + 1))
     verdict = "PASS" if predicted == actual else "FAIL"
     print(f"predicted={predicted} actual={actual} {verdict}")
     return 0 if verdict == "PASS" else 1
@@ -278,11 +280,10 @@ def _verify_bijection(report: VerifyReport, args) -> None:
 
 
 def _verify_residues(report: VerifyReport, args) -> None:
-    check = RESIDUES[report.suite]
+    residues = RESIDUES[report.suite]
     for m in args.base_range:
-        for n in args.n_range:
+        for n, (expected, actual) in zip(args.n_range, residues(m, args.n_range)):
             report.cases_run += 1
-            expected, actual = check(m, n)
             if expected != actual:
                 report.fail(m, n, expected, actual)
 

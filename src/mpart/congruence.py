@@ -8,11 +8,12 @@ the counts is the job of the callers (CLI ``verify``/``congruence``).
 
 Every check needs the count only modulo some M: m for the digit
 expressions, 2**(3k+2) for ``churchhouse_check``.  Those counts come from
-``count_b_poly``/``count_c_poly`` with ``modulus=M``, whose level loop is
-reduced mod M at every level, so they are the exact counts' residues
-without the counts: the check stays independent of the digit expressions
-and at a thousand digits costs milliseconds where the full count
-would take hours.
+the residue route (``count_b_residues``/``count_c_residues`` over a block
+of n, ``count_b_poly``/``count_c_poly`` with ``modulus=M`` at one n),
+whose level loop is reduced mod M at every level, so they are the exact
+counts' residues without the counts: the check stays independent of the
+digit expressions and at a thousand digits costs milliseconds where the
+full count would take hours.
 """
 
 from __future__ import annotations

@@ -16,15 +16,17 @@ independent ways:
 c(m, n), the number of gap-free partitions (every power below the largest
 part occurs), is computed by literal summation and by the polynomial route;
 the partitions module counts both families by brute-force enumeration.
-Given a modulus, both polynomial routes return the count's residue from
-the same level loop reduced mod it, which is what the congruence checks
-take; the reduction shrinks the levels from the bottom up, so with a
-modulus the loop's split sits at the top and no level runs transposed.
-Mod m a reduced level is one residue, so a verify sweep meets the same few
-levels over and over: the reduced step is memoised (``_residue_level``,
-keyed by the base, the modulus, the level's coefficients and the offset,
-an LRU cache of the RESIDUE_LEVELS most recent steps).  The exact route
-never enters it.
+Given a modulus M, both polynomial routes return the count's residue from
+the residue route (``count_b_residues``, ``count_c_residues``), which runs
+the same level loop bottom-up to the top with every level reduced mod M;
+that is what the congruence checks take.  The route answers a block of
+consecutive n at once: their multiples m**shift * n share every digit
+above the carry, so each n redoes only the levels below it.  Mod m a
+reduced level is one residue, so a verify sweep meets the same few levels
+over and over: the reduced step is memoised (``_residue_level``, keyed by
+the base, the modulus, the level's coefficients and the offset, an LRU
+cache of the RESIDUE_LEVELS most recent steps).  The exact route never
+enters it.
 
 Counts at n = 0 are defined as 1 (the empty partition) throughout.  Every
 count checks (m, n) through ``to_base`` first, then its budget or modulus.
@@ -42,7 +44,7 @@ from .polysum import (
     evaluation_covector,
     prefix_sum_transposed,
 )
-from .radix import to_base
+from .radix import consecutive_digits, to_base
 from . import kernels
 
 # Entries kept by the residue route's level memo (``_residue_level``): room
@@ -89,7 +91,7 @@ def count_b_gf(m: int, upto: int) -> list[int]:
     return coeffs
 
 
-def _chain_total(m: int, offsets, strata, modulus: int | None = None, total: int = 0) -> int:
+def _chain_total(m: int, offsets, strata, total: int = 0) -> int:
     """The vector count of a ``kernels.chain``, collapsed level by level:
     h_0 = 1, S_t is the prefix sum of h_{t-1}, and h_t(k) = S_t(offsets[t]
     + m*k), each level one prefix sum plus one affine substitution in the
@@ -105,39 +107,18 @@ def _chain_total(m: int, offsets, strata, modulus: int | None = None, total: int
     substitution (``polysum``).  One dot product of w with S_{t*} joins the
     halves; at t* = depth the top loop does not run and the join adds 0.
     The coefficients of S_t grow with t and the covector's entries with
-    depth - t, so for the exact count t* = round(0.6 * depth) and each half
-    runs where its numbers are small.
-
-    With ``modulus`` M the count comes back mod M.  The prefix sum, the
-    substitution (a shift, ``polysum._shift``, and an integer table T) and
-    the evaluation at an integer (every C(x, i) is an integer) are all
-    integer-linear in the coefficients, so reducing each h_t mod M after
-    its substitution leaves the result's residue exact.  The reduced top
-    coefficients that vanish are dropped, so for M a power of m the degree
-    collapses and the levels stay small.  That collapse is a bottom-up
-    effect, so with a modulus t* = depth: the same loop runs to the top,
-    and its step is ``_residue_level``, S_{t+1} from S_t and a_t, memoised
-    by (m, M, coefficients of S_t, a_t) in an LRU cache of RESIDUE_LEVELS
-    entries.  Mod m every reduced h_t is a constant, so a verify sweep
-    needs a few hundred distinct steps in all and recomputes none of the
-    others.  For a large modulus such as 2**(3k+2) the levels hold many
-    coefficients of log2(M) bits, and nearly every step is new; the bound
-    keeps the memo's memory to RESIDUE_LEVELS such levels, each the key of
-    one entry and the value of the one before it."""
+    depth - t, so t* = round(0.6 * depth) and each half runs where its
+    numbers are small.  A count mod M takes the residue route instead
+    (``_residue_block``), whose reduced levels stay small to the top."""
     tops = dict(strata)
     depth = max(tops, default=0)
-    if modulus is not None and modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    split = depth if modulus else (6 * depth + 5) // 10  # round(0.6 * depth)
+    split = (6 * depth + 5) // 10  # round(0.6 * depth)
     s = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
     for t in range(1, split + 1):
         if t in tops:
             total += s.eval(tops[t])
         if t < split:
-            s = (s.compose_affine(m, offsets[t]).prefix_sum() if modulus is None
-                 else _residue_level(m, modulus, s.coeffs, offsets[t]))
-    if modulus is not None:
-        return total % modulus
+            s = s.compose_affine(m, offsets[t]).prefix_sum()
     w = [0] * (depth + 1)
     for t in range(depth, split, -1):
         if t in tops:
@@ -155,13 +136,120 @@ def _residue_level(m: int, modulus: int, coeffs: tuple[int, ...], offset: int) -
     return IntPolynomial.from_coeffs([c % modulus for c in h.coeffs]).prefix_sum()
 
 
+def _residue_block(m: int, ns: range, modulus: int, shift: int, gapfree: bool):
+    """b(m, x) mod M = ``modulus``, or c(m, x) when ``gapfree``, at x =
+    m**shift * n for each n of the consecutive range ``ns``, as an
+    iterator.  (m, ns.start) goes through ``to_base`` and then the modulus
+    is checked, both at the call, so a bad input raises before any n is
+    counted.
+
+    Each x runs the level loop of ``_chain_total`` bottom-up to the top with
+    every level reduced mod M: the prefix sum, the substitution and the
+    evaluation at an integer are integer-linear in the binomial basis, so
+    reducing each h_t mod M leaves the residue exact.  Reduced top
+    coefficients that vanish are dropped, so for M a power of m the degree
+    collapses and the levels stay small; the step is ``_residue_level``.
+    For a large modulus such as 2**(3k+2) nearly every step is new, and its
+    memo bounds what they keep to RESIDUE_LEVELS levels."""
+    runs = consecutive_digits(m, ns)
+    if modulus < 1:
+        raise ValueError(f"modulus must be positive, got {modulus}")
+    return _block_walk(m, ns, runs, modulus, shift, gapfree)
+
+
+def _block_walk(m: int, ns: range, runs, modulus: int, shift: int, gapfree: bool):
+    """The walk behind ``_residue_block``, over the digits of each n from
+    ``runs`` (``consecutive_digits``), shifted up ``shift`` places.  Level
+    t's terms read x's digits from t - 1 up (``kernels.gapfree_level``; for
+    b the offset alpha_t and the top digit), so a carry through digit i
+    gives new terms to levels 1..i + 1 only, and c's tops come from the
+    quotients x // m**t, each below the carry rebuilt from the unchanged
+    one above it.  Each level t keeps a dict from the reduced S_t to the
+    residue that levels >= t add, valid until a carry reaches digit t - 1:
+    the walk climbs from S_1, stops at the first level above the new terms
+    whose dict holds its S_t, and fills the dicts along its path.  Where n
+    reaches a power of m the depth grows and the walk starts afresh; nothing
+    outlives the iterator."""
+    last = ns[-1] if ns else None
+    unit = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
+    j = None  # x's top digit index, or None to start afresh
+    for n, digits, i in runs:
+        if n == 0:  # b(m, 0) = c(m, 0) = 1, the empty partition
+            j = None
+            yield 1 % modulus
+            continue
+        i += shift  # x's highest changed digit
+        fill = n != last  # a later n reads the dicts this one fills
+        if j == len(digits) - 1 + shift:
+            alpha[shift:i + 1] = digits[:i + 1 - shift]
+            for level in levels[1:i + 2]:
+                level.clear()
+        else:
+            alpha = [0] * shift + digits  # x = m**shift * n
+            j = i = len(alpha) - 1
+            depth = j if gapfree else max(j, 1)
+            levels = [{} for _ in range(depth + 1)] if fill else None
+            if gapfree:
+                quot = [0] * (j + 2)  # quot[t] = x // m**t
+                offsets, tops = [0] * (depth + 1), [0] * (depth + 1)
+            else:  # b's offsets are x's digits, and its one stratum sits at the top
+                offsets, tops = alpha, [None] * (depth + 1)
+        low = i + 1  # levels 1..low have new terms
+        if gapfree:
+            for t in range(i, 0, -1):
+                quot[t] = quot[t + 1] * m + alpha[t]
+            for t in range(1, min(low, depth) + 1):
+                offsets[t], tops[t] = kernels.gapfree_level(m, alpha, t, quot[t])
+        else:
+            tops[depth] = alpha[depth] if j else 0  # x // m**depth
+        watch = shift + 1 if fill else low  # no dict at or below it is read or filled
+        s = unit
+        path = []
+        acc = 0  # what levels 1..t - 1 add
+        for t in range(1, depth + 1):
+            if t > watch:
+                if t > low:
+                    tail = levels[t].get(s.coeffs)
+                    if tail is not None:
+                        break
+                if fill:
+                    path.append((levels[t], s.coeffs, acc))
+            if tops[t] is not None:
+                acc += s.eval(tops[t])
+            if t < depth:
+                s = _residue_level(m, modulus, s.coeffs, offsets[t])
+        else:
+            tail = 0
+        tail += acc  # what levels 1..depth add
+        for level, coeffs, before in path:
+            level[coeffs] = (tail - before) % modulus
+        yield (tail + 1 if gapfree else tail) % modulus
+
+
+def count_b_residues(m: int, ns: range, modulus: int, shift: int):
+    """b(m, m**shift * n) mod ``modulus`` for each n of the consecutive range
+    ``ns``, in order, from the residue route (``_residue_block``); shift >= 0."""
+    return _residue_block(m, ns, modulus, shift, gapfree=False)
+
+
+def count_c_residues(m: int, ns: range, modulus: int, shift: int):
+    """c(m, m**shift * n) mod ``modulus`` for each n of the consecutive range
+    ``ns``, as ``count_b_residues``; the loop's total starts at 1, c's
+    all-ones partition."""
+    return _residue_block(m, ns, modulus, shift, gapfree=True)
+
+
 def count_b_poly(m: int, n: int, modulus: int | None = None) -> int:
     """Chained summation over the digit bounds, collapsed level by level:
     g_0 = 1, g_t(k) = sum of g_{t-1} over [0, alpha_t + m*k], and b(m, n)
-    the sum of g_{j-1} over [0, alpha_j]: the one stratum of its chain.
-    With ``modulus`` M it returns b(m, n) mod M exactly, each level reduced
-    mod M (see ``_chain_total``), which is all a congruence check needs."""
-    return _chain_total(m, *kernels.chain(m, n, gapfree=False), modulus)
+    the sum of g_{j-1} over [0, alpha_j]: the one stratum of its chain,
+    met in the middle (``_chain_total``).  With ``modulus`` M it returns
+    b(m, n) mod M exactly as the one-point block of ``count_b_residues``,
+    which is all a congruence check needs."""
+    if modulus is None:
+        return _chain_total(m, *kernels.chain(m, n, gapfree=False))
+    [residue] = _residue_block(m, range(n, n + 1), modulus, 0, gapfree=False)
+    return residue
 
 
 def b_estimate(m: int, n: int, cap: int) -> int:
@@ -208,9 +296,12 @@ def count_c_poly(m: int, n: int, modulus: int | None = None) -> int:
     """Gap-free count: the strata of ``kernels.chain``, collapsed by the
     level loop of ``count_b_poly``, each level built once for every
     stratum, with the all-ones partition as the loop's starting total.
-    With ``modulus`` M it returns c(m, n) mod M exactly, as
-    ``count_b_poly`` does."""
-    return _chain_total(m, *kernels.chain(m, n, gapfree=True), modulus, total=1)
+    With ``modulus`` M it returns c(m, n) mod M exactly as the one-point
+    block of ``count_c_residues``."""
+    if modulus is None:
+        return _chain_total(m, *kernels.chain(m, n, gapfree=True), total=1)
+    [residue] = _residue_block(m, range(n, n + 1), modulus, 0, gapfree=True)
+    return residue
 
 
 def count_c_nested(m: int, n: int) -> int:

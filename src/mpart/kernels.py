@@ -43,7 +43,7 @@ passes ``cap``.
 from __future__ import annotations
 
 from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, shown
-from .radix import chi_vector, to_base
+from .radix import to_base
 
 
 def chain(m: int, n: int, gapfree: bool) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -53,21 +53,35 @@ def chain(m: int, n: int, gapfree: bool) -> tuple[tuple[int, ...], tuple[tuple[i
     m*k_{t+1} for t = r-1..1.  Strata come largest r first.
 
     b has the one stratum (j, alpha_j), or (1, 0) for n < m, and offsets
-    alpha_t.  c - 1 has a stratum per largest part m**r, r = j..1, where
-    k_r runs over [chi_r, n//m**r - 1] and k_t over [chi_t, alpha_t - 1 +
-    m*k_{t+1}] (``chi_vector``).  Counted from zero, k_t = k'_t + chi_t,
-    the tops become n//m**r - 1 - chi_r and the offsets a_t = alpha_t - 1 -
-    chi_t + m*chi_{t+1}.  Every bound is >= -1, so an empty range has length
-    0: alpha_t = 0 forces chi_{t+1} = 1, so a_t >= -1, and n//m**r >= 1.
+    alpha_t.  c - 1 has a stratum per largest part m**r, r = j..1, whose
+    level terms are ``gapfree_level``'s.
     """
     r = to_base(m, n)
     alpha = r.digits
     if not gapfree:
         depth = max(r.j, 1)
         return alpha, ((depth, n // m**depth),)
-    chi = (0, *chi_vector(r))  # chi[t] = chi_t; chi_0 only feeds the unread a_0
-    offsets = tuple(alpha[t] - 1 - chi[t] + m * chi[t + 1] for t in range(r.j))
-    return offsets, tuple((s, n // m**s - 1 - chi[s]) for s in range(r.j, 0, -1))
+    terms = []
+    for t in range(r.j + 1):  # a_0 and top_0 are unread
+        terms.append(gapfree_level(m, alpha, t, n))
+        n //= m
+    return tuple(a for a, _ in terms[:r.j]), tuple((s, terms[s][1]) for s in range(r.j, 0, -1))
+
+
+def gapfree_level(m: int, alpha, t: int, quotient: int) -> tuple[int, int]:
+    """The gap-free chain's terms at level t of n, from its digits ``alpha``
+    and ``quotient`` = n // m**t: the offset a_t and the top of stratum t.
+
+    In stratum r, k_r runs over [chi_r, n//m**r - 1] and k_t over [chi_t,
+    alpha_t - 1 + m*k_{t+1}], with chi_t = 1 where alpha_{t-1} = 0, else 0
+    (``chi_vector``; chi_0 = 0).  Counted from zero, k_t = k'_t + chi_t,
+    the top becomes n//m**t - 1 - chi_t and the offset a_t = alpha_t - 1 -
+    chi_t + m*chi_{t+1}.  Every bound is >= -1, so an empty range has length
+    0: alpha_t = 0 forces chi_{t+1} = 1, so a_t >= -1, and n//m**t >= 1.
+    The terms read alpha_{t-1}, alpha_t and the digits above, no lower one.
+    """
+    chi = t > 0 and alpha[t - 1] == 0
+    return alpha[t] - 1 - chi + m * (alpha[t] == 0), quotient - 1 - chi
 
 
 def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, leaf=None) -> int:

@@ -58,6 +58,32 @@ def to_base(m: int, n: int) -> BaseRepr:
     return BaseRepr(m, tuple(digits))
 
 
+def consecutive_digits(m: int, ns: range):
+    """(n, digits, i) for each n of the consecutive range ``ns``, after (m,
+    ns.start) has gone through ``to_base`` at the call: n's base-m digits,
+    least significant first, and the index i of the highest digit that
+    changed since the n before (the top one, for the first n).  The digits
+    are one list, advanced by carry and rewritten in place, so a caller that
+    keeps them copies them; where n reaches a power of m the list is a new
+    one, one digit longer."""
+    return _carried(m, ns, list(to_base(m, ns.start).digits))
+
+
+def _carried(m: int, ns: range, digits: list[int]):
+    if ns:
+        yield ns[0], digits, len(digits) - 1
+    for n in ns[1:]:
+        i = 0
+        while i < len(digits) and digits[i] == m - 1:
+            digits[i] = 0
+            i += 1
+        if i < len(digits):
+            digits[i] += 1
+        else:
+            digits = [0] * i + [1]
+        yield n, digits, i
+
+
 def chi_vector(r: BaseRepr) -> tuple[int, ...]:
     """(chi_1, ..., chi_j) with chi_i = 0 where digit alpha_{i-1} is
     positive and 1 where it is zero; empty for single-digit numbers."""

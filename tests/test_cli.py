@@ -460,6 +460,12 @@ def _quotient_count(m, x, modulus=None):
     return x // m if modulus is None else x // m % modulus
 
 
+def _quotient_residues(m, ns, modulus, shift):
+    """``_quotient_count`` in the residue route's range form: x // m mod
+    ``modulus`` at each x = m**shift * n."""
+    return (_quotient_count(m, m**shift * n, modulus) for n in ns)
+
+
 def _zero_afs_c_mod(r):
     return congruence.Residue(0, r.m)
 
@@ -489,19 +495,19 @@ def _failure_lines(suite, records, cases, **extra):
 # its inverse up on bijection at call time.
 WRONG_SIDE_CASES = {
     "verify-afs-b": (
-        counting, "count_b_poly", _quotient_count,
+        counting, "count_b_residues", _quotient_residues,
         ["verify", "--suite", "afs-b", "--base-range", "3..4", "--n-range", "1..5"],
         _failure_lines("afs-b", [(3, 1, "2", "1"), (3, 2, "0", "2"), (3, 3, "2", "0"),
                                  (3, 5, "0", "2"), (4, 1, "2", "1"), (4, 2, "3", "2"),
                                  (4, 3, "0", "3"), (4, 4, "2", "0"), (4, 5, "0", "1")], 10),
     ),
     "verify-afs-c": (
-        counting, "count_c_poly", _quotient_count,
+        counting, "count_c_residues", _quotient_residues,
         ["verify", "--suite", "afs-c", "--base-range", "3..4", "--n-range", "1..5"],
         _failure_lines("afs-c", [(3, 5, "0", "2")], 10),
     ),
     "verify-reduction": (
-        counting, "count_c_poly", _quotient_count,
+        counting, "count_c_residues", _quotient_residues,
         ["verify", "--suite", "reduction", "--base-range", "3..4", "--n-range", "1..5"],
         _failure_lines("reduction", [(3, 1, "1", "0"), (3, 2, "2", "0"), (3, 4, "1", "0"),
                                      (3, 5, "2", "0"), (4, 1, "1", "0"), (4, 2, "2", "0"),
@@ -515,17 +521,17 @@ WRONG_SIDE_CASES = {
                                      (4, 5, "1", "0")], 10),
     ),
     "congruence-afs-b": (
-        counting, "count_b_poly", _quotient_count,
+        counting, "count_b_residues", _quotient_residues,
         ["congruence", "--property", "afs-b", "--base", "3", "--n", "5"],
         "predicted=0 actual=2 FAIL\n",
     ),
     "congruence-afs-c": (
-        counting, "count_c_poly", _quotient_count,
+        counting, "count_c_residues", _quotient_residues,
         ["congruence", "--property", "afs-c", "--base", "5", "--n", "487"],
         "predicted=1 actual=2 FAIL\n",
     ),
     "congruence-afs-c-ell": (
-        counting, "count_c_poly", _quotient_count,
+        counting, "count_c_residues", _quotient_residues,
         ["congruence", "--property", "afs-c-ell", "--base", "5", "--n", "487"],
         "predicted=1 actual=2 FAIL\n",
     ),
@@ -758,9 +764,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-def test_afs_b_sweep_at_a_large_n_keeps_its_digit_cache_bounded():
-    # each point's digits take about 9 KB at 2^1100; 2000 points make 4000
-    # to_base misses, about 35 MiB if the digit cache kept them all
+@pytest.mark.parametrize("suite", ["afs-b", "afs-c", "reduction"])
+def test_residue_sweep_at_a_large_n_keeps_its_memory_bounded(suite):
+    # each n's digits take about 9 KB at 2^1100, and c's quotients x // m**t
+    # about 75 KB per block; 2000 points would take about 35 MiB if the
+    # digits of each were kept, or the block's level dicts grew with it
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = f"""
 import contextlib, io, resource, sys
@@ -768,7 +776,7 @@ sys.path.insert(0, {src!r})
 from mpart.cli import main
 def sweep(lo, hi):
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert main(["verify", "--suite", "afs-b", "--base-range", "2..2",
+        assert main(["verify", "--suite", {suite!r}, "--base-range", "2..2",
                      f"--n-range={{lo}}..{{hi}}"]) == 0, out.getvalue()
 n = 2**1100
 sweep(n, n + 9)
@@ -780,6 +788,42 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
                             capture_output=True, text=True, timeout=60)
     assert (result.returncode, result.stderr) == (0, "")
     assert int(result.stdout) < 10 * 1024  # KiB
+
+
+RESIDUE_FUZZ_BASES = (-1, 0, 1, 2, 3, 10, 10**5, 10**9)
+RESIDUE_FUZZ_STARTS = (-1, 0, 1, 7, 2**70, 10**12)
+POSITIVE_N_ONLY = ("afs-c", "afs-c-ell", "afs-equiv")  # c(m, 0) = 1 lies outside their forms
+
+
+def test_residue_commands_answer_or_refuse_at_the_edges_within_a_second(capsys):
+    # verify over three n and congruence at one: a base below 2 is named
+    # first, then a negative n, then n = 0 where the form needs n >= 1;
+    # everything else answers, and every prediction holds
+    for m, n in itertools.product(RESIDUE_FUZZ_BASES, RESIDUE_FUZZ_STARTS):
+        calls = [(suite, ["verify", "--suite", suite, f"--base-range={m}..{m}",
+                          f"--n-range={n}..{n + 2}"])
+                 for suite in ("afs-b", "afs-c", "afs-equiv", "reduction")]
+        calls += [(prop, ["congruence", "--property", prop, f"--base={m}", f"--n={n}"])
+                  for prop in ("afs-b", "afs-c", "afs-c-ell")]
+        for check, argv in calls:
+            if m < 2:
+                refusal = f"base must be >= 2, got {m}"
+            elif n < 0:
+                refusal = f"n must be nonnegative, got {n}"
+            elif n == 0 and check in POSITIVE_N_ONLY:
+                refusal = "n must be positive, got 0"
+            else:
+                refusal = None
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0, argv
+            if refusal:
+                assert (code, out, err) == (2, "", f"error: {refusal}\n"), argv
+            elif argv[0] == "verify":
+                summary = {"suite": check, "cases_run": 3, "failures": 0, "skipped": 0}
+                assert (code, out, err) == (0, json.dumps(summary) + "\n", ""), argv
+            else:
+                assert code == 0 and out.endswith(" PASS\n") and err == "", argv
 
 
 def test_table_into_a_closed_pipe_exits_2_without_a_traceback():

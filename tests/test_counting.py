@@ -134,6 +134,56 @@ def test_split_loop_equals_the_bottom_up_loop(data):
         assert count(m, n, modulus=1 << exact.bit_length()) == exact
 
 
+def _block_grid(m: int) -> list[range]:
+    """Blocks of consecutive n at base m: from 0, from 1, and across m**k
+    for the two smallest k with m**k > 5."""
+    ks = [k for k in range(1, 6) if m**k > 5][:2]
+    return [range(0, 12), range(1, 12), *(range(m**k - 5, m**k + 6) for k in ks)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 10, 10**5])
+def test_block_residues_equal_the_exact_counts_point_by_point(m):
+    # a block shares x = m**shift * n's digits above the carry, each level's
+    # dict its residues; every point must still be the exact count's
+    for shift in range(4):
+        for ns in _block_grid(m):
+            b = [count_b_poly(m, m**shift * n) for n in ns]
+            c = [count_c_poly(m, m**shift * n) for n in ns]
+            for modulus in (m, m * m, 2**5, 2**8):
+                assert list(counting.count_b_residues(m, ns, modulus, shift)) == [
+                    x % modulus for x in b], (shift, ns, modulus)
+                assert list(counting.count_c_residues(m, ns, modulus, shift)) == [
+                    x % modulus for x in c], (shift, ns, modulus)
+
+
+def _level_loop_residue(m: int, x: int, modulus: int, gapfree: bool) -> int:
+    """b or c at x mod ``modulus`` point by point: the chain's levels from
+    the bottom up, each substituted, reduced and prefix-summed afresh, with
+    no memo and nothing shared between points."""
+    offsets, strata = chain(m, x, gapfree)
+    tops = dict(strata)
+    depth = max(tops, default=0)
+    s, total = polysum.IntPolynomial((1, 1)), int(gapfree)
+    for t in range(1, depth + 1):
+        if t in tops:
+            total += s.eval(tops[t])
+        if t < depth:
+            h = s.compose_affine(m, offsets[t])
+            s = polysum.IntPolynomial.from_coeffs([c % modulus for c in h.coeffs]).prefix_sum()
+    return total % modulus
+
+
+def test_block_residues_at_a_large_n_equal_the_level_loop_point_by_point():
+    # ten n from 2**1100, the first a power of 2, where no exact count ends
+    ns = range(2**1100, 2**1100 + 10)
+    for shift in (0, 1, 3):
+        for modulus in (2, 2**5):
+            for gapfree, block in ((False, counting.count_b_residues),
+                                   (True, counting.count_c_residues)):
+                assert list(block(2, ns, modulus, shift)) == [
+                    _level_loop_residue(2, 2**shift * n, modulus, gapfree) for n in ns]
+
+
 # (digit count, SHA-256 of the decimal) of b and c.  The first two were
 # computed with an independent substitution: interpolation from d+1 point
 # values; the rest by the level loop run bottom-up only, before it met in
