@@ -41,25 +41,23 @@ C_ROUTES = {
 }
 
 
+def _reprs(m: int, ns: range):
+    """The digits of each n of ``ns``, by carry, as a ``BaseRepr``."""
+    return (BaseRepr(m, tuple(digits)) for _, digits, _ in radix.consecutive_digits(m, ns))
+
+
 def _predicted(predict, m: int, ns: range):
     """A digit prediction's residue at each n of ``ns``, from n's digits."""
-    return (predict(BaseRepr(m, tuple(digits))).value
-            for _, digits, _ in radix.consecutive_digits(m, ns))
-
-
-def _afs_equiv(m: int, ns: range):
-    for n in ns:
-        r = to_base(m, n)
-        actual = congruence.afs_c_mod(r).value
-        yield congruence.c_mod_formula(r).value, actual
+    return (predict(r).value for r in _reprs(m, ns))
 
 
 # property -> (expected, actual) residues mod m at each n of a consecutive
 # range, at base m: afs-b, afs-c and afs-c-ell predict b or c at m*n;
-# afs-equiv sets the two c forms against each other; reduction sets c(m^3 n)
-# against c(m n).  Counts come mod m from the residue route's blocks, never
-# in full; each block checks (m, n) of the range's first n through to_base
-# as it is made, so an invalid n is named as given, never as m^3 n.
+# afs-equiv sets the two c forms against each other on each n's digits;
+# reduction sets c(m^3 n) against c(m n).  Counts come mod m from the
+# residue route's blocks, never in full; digits and blocks check (m, n) of
+# the range's first n through to_base as they are made, so an invalid n is
+# named as given, never as m^3 n.
 RESIDUES = {
     "afs-b": lambda m, ns: zip(_predicted(congruence.b_mod_product, m, ns),
                                counting.count_b_residues(m, ns, m, 1)),
@@ -67,7 +65,8 @@ RESIDUES = {
                                counting.count_c_residues(m, ns, m, 1)),
     "afs-c-ell": lambda m, ns: zip(_predicted(congruence.afs_c_mod, m, ns),
                                    counting.count_c_residues(m, ns, m, 1)),
-    "afs-equiv": _afs_equiv,
+    "afs-equiv": lambda m, ns: ((congruence.c_mod_formula(r).value,
+                                 congruence.afs_c_mod(r).value) for r in _reprs(m, ns)),
     "reduction": lambda m, ns: zip(counting.count_c_residues(m, ns, m, 1),
                                    counting.count_c_residues(m, ns, m, 3)),
 }
@@ -191,12 +190,19 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _check_churchhouse_bases(bases: range) -> None:
+    """Base 2 alone runs churchhouse, yet a start below 2 is named first, as
+    by every other check."""
+    if bases.start < 2:
+        raise ValueError(f"base must be >= 2, got {bases.start}")
+    if 2 not in bases:
+        raise ValueError("churchhouse congruences are about base 2")
+
+
 def cmd_congruence(args) -> int:
     m, n = args.base, args.n
     if args.property == "churchhouse":
-        if m != 2:  # below 2 the base is named first, as by every other check
-            raise ValueError(f"base must be >= 2, got {m}" if m < 2
-                             else "churchhouse congruences are about base 2")
+        _check_churchhouse_bases(range(m, m + 1))
         first, second = congruence.churchhouse_check(args.k, n)
         print(
             f"first={'PASS' if first else 'FAIL'} "
@@ -289,11 +295,7 @@ def _verify_residues(report: VerifyReport, args) -> None:
 
 
 def _verify_churchhouse(report: VerifyReport, args) -> None:
-    # the base range first, as every suite checks it, though base 2 alone runs
-    if args.base_range.start < 2:
-        raise ValueError(f"base must be >= 2, got {args.base_range.start}")
-    if 2 not in args.base_range:
-        raise ValueError("churchhouse congruences are about base 2")
+    _check_churchhouse_bases(args.base_range)
     for k in args.k_range:
         for n in args.n_range:
             report.cases_run += 1

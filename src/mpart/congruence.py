@@ -8,20 +8,20 @@ the counts is the job of the callers (CLI ``verify``/``congruence``).
 
 Every check needs the count only modulo some M: m for the digit
 expressions, 2**(3k+2) for ``churchhouse_check``.  Those counts come from
-the residue route (``count_b_residues``/``count_c_residues`` over a block
-of n, ``count_b_poly``/``count_c_poly`` with ``modulus=M`` at one n),
-whose level loop is reduced mod M at every level, so they are the exact
-counts' residues without the counts: the check stays independent of the
-digit expressions and at a thousand digits costs milliseconds where the
-full count would take hours.
+the residue route (``counting.count_b_residues``/``count_c_residues``,
+over a block of consecutive n or a one-point block at a single n), whose
+level loop is reduced mod M at every level, so they are the exact counts'
+residues without the counts: the check stays independent of the digit
+expressions and at a thousand digits costs milliseconds where the full
+count would take hours.
 """
 
 from __future__ import annotations
 
 from math import prod
 
+from . import counting
 from ._frozen import Frozen
-from .counting import count_b_poly
 from .radix import BaseRepr, chi_vector
 
 
@@ -92,11 +92,11 @@ def churchhouse_check(k: int, n: int) -> tuple[bool, bool]:
         b(2, 4**(k+1) * n) == b(2, 4**k * n)      (mod 2**(3k+2))
         b(2, 2 * 4**k * n) == b(2, 4**k * n / 2)  (mod 2**(3k))
 
-    from four counts mod 2**(3k+2) by the polynomial route's level loop,
-    reduced mod that modulus at every level; 2**(3k) divides it, so the
-    second difference is reduced mod 2**(3k) as it stands.  The cost grows
-    with the digit count 2k + log2(n), not with 4**k * n, and the levels
-    hold about 3k bits rather than the full counts.
+    from four counts mod 2**(3k+2), each the one-point block of
+    ``counting.count_b_residues``, looked up at call time; 2**(3k) divides
+    that modulus, so the second difference is reduced mod 2**(3k) as it
+    stands.  The cost grows with the digit count 2k + log2(n), not with
+    4**k * n, and the levels hold about 3k bits rather than the full counts.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -106,7 +106,8 @@ def churchhouse_check(k: int, n: int) -> tuple[bool, bool]:
     modulus = 2 ** (3 * k + 2)
 
     def b(x: int) -> int:
-        return count_b_poly(2, x, modulus=modulus)
+        [residue] = counting.count_b_residues(2, range(x, x + 1), modulus, 0)
+        return residue
 
     first = (b(4 * base) - b(base)) % modulus == 0
     second = (b(2 * base) - b(base // 2)) % 2 ** (3 * k) == 0

@@ -16,17 +16,17 @@ independent ways:
 c(m, n), the number of gap-free partitions (every power below the largest
 part occurs), is computed by literal summation and by the polynomial route;
 the partitions module counts both families by brute-force enumeration.
-Given a modulus M, both polynomial routes return the count's residue from
-the residue route (``count_b_residues``, ``count_c_residues``), which runs
+Both polynomial routes are exact only.  A count mod M comes from the
+residue route (``count_b_residues``, ``count_c_residues``), which runs
 the same level loop bottom-up to the top with every level reduced mod M;
-that is what the congruence checks take.  The route answers a block of
-consecutive n at once: their multiples m**shift * n share every digit
-above the carry, so each n redoes only the levels below it.  Mod m a
-reduced level is one residue, so a verify sweep meets the same few levels
-over and over: the reduced step is memoised (``_residue_level``, keyed by
-the base, the modulus, the level's coefficients and the offset, an LRU
-cache of the RESIDUE_LEVELS most recent steps).  The exact route never
-enters it.
+every congruence check takes it, a single n as a one-point block.  The
+route answers a block of consecutive n at once: their multiples
+m**shift * n share every digit above the carry, so each n redoes only
+the levels below it.  Mod m a reduced level is one residue, so a verify
+sweep meets the same few levels over and over: the reduced step is
+memoised (``_residue_level``, keyed by the base, the modulus, the level's
+coefficients and the offset, an LRU cache of the RESIDUE_LEVELS most
+recent steps).  The exact route never enters it.
 
 Counts at n = 0 are defined as 1 (the empty partition) throughout.  Every
 count checks (m, n) through ``to_base`` first, then its budget or modulus.
@@ -239,17 +239,12 @@ def count_c_residues(m: int, ns: range, modulus: int, shift: int):
     return _residue_block(m, ns, modulus, shift, gapfree=True)
 
 
-def count_b_poly(m: int, n: int, modulus: int | None = None) -> int:
+def count_b_poly(m: int, n: int) -> int:
     """Chained summation over the digit bounds, collapsed level by level:
     g_0 = 1, g_t(k) = sum of g_{t-1} over [0, alpha_t + m*k], and b(m, n)
     the sum of g_{j-1} over [0, alpha_j]: the one stratum of its chain,
-    met in the middle (``_chain_total``).  With ``modulus`` M it returns
-    b(m, n) mod M exactly as the one-point block of ``count_b_residues``,
-    which is all a congruence check needs."""
-    if modulus is None:
-        return _chain_total(m, *kernels.chain(m, n, gapfree=False))
-    [residue] = _residue_block(m, range(n, n + 1), modulus, 0, gapfree=False)
-    return residue
+    met in the middle (``_chain_total``)."""
+    return _chain_total(m, *kernels.chain(m, n, gapfree=False))
 
 
 def b_estimate(m: int, n: int, cap: int) -> int:
@@ -292,16 +287,11 @@ def count_b_nested(m: int, n: int) -> int:
     return kernels.nested_sum_b(m, n, cap)
 
 
-def count_c_poly(m: int, n: int, modulus: int | None = None) -> int:
+def count_c_poly(m: int, n: int) -> int:
     """Gap-free count: the strata of ``kernels.chain``, collapsed by the
     level loop of ``count_b_poly``, each level built once for every
-    stratum, with the all-ones partition as the loop's starting total.
-    With ``modulus`` M it returns c(m, n) mod M exactly as the one-point
-    block of ``count_c_residues``."""
-    if modulus is None:
-        return _chain_total(m, *kernels.chain(m, n, gapfree=True), total=1)
-    [residue] = _residue_block(m, range(n, n + 1), modulus, 0, gapfree=True)
-    return residue
+    stratum, with the all-ones partition as the loop's starting total."""
+    return _chain_total(m, *kernels.chain(m, n, gapfree=True), total=1)
 
 
 def count_c_nested(m: int, n: int) -> int:

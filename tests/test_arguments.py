@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from mpart import kernels
+from mpart import counting, kernels
 from mpart.bijection import BetaSeq, enumerate_members
 from mpart.budgets import BudgetExceeded
 from mpart.counting import (
@@ -25,16 +25,28 @@ from mpart.partitions import (
 )
 from mpart.polysum import IntPolynomial, compose_affine_transposed
 
+
+def _one_point(residues):
+    """A residue route's one-point block as an entry point at (m, n, modulus)."""
+    def block(m, n, modulus):
+        [residue] = residues(m, range(n, n + 1), modulus, 0)
+        return residue
+    return block
+
+
 WALKERS = (kernels.nested_sum_b, kernels.nested_sum_c, kernels.walk_partitions,
            kernels.walk_gapfree)
-POLY = (count_b_poly, count_c_poly)
+# poly route -> its residue route's one-point block, which takes the modulus
+POLY = {count_b_poly: _one_point(counting.count_b_residues),
+        count_c_poly: _one_point(counting.count_c_residues)}
 BUDGETED = (count_b_nested, count_c_nested, count_b_enum, count_c_enum, enumerate_b,
             enumerate_c, enumerate_members)
 TABLES = (recurrence_table, count_b_gf)
 
-# (entry point, its third argument: the walker's cap, the modulus or the
-# sequence's entries, or the value its budget variable is set to, None for
-# the variable as ``env`` left it)
+# (entry point, its third argument: the walker's cap, the modulus of a poly
+# route's residue block (None for the exact count) or the sequence's
+# entries, or the value its budget variable is set to, None for the
+# variable as ``env`` left it)
 ENTRIES = [
     *[(f, cap) for f in WALKERS for cap in (0, 10)],
     *[(f, modulus) for f in POLY for modulus in (None, 0, 2)],
@@ -50,7 +62,10 @@ ENTRIES = [
 def test_argument_gate(set_budget, entry, third, env):
     budgeted = entry in BUDGETED + TABLES
     set_budget(third if budgeted and third is not None else env)
-    args = () if budgeted else (third,)
+    if entry in POLY:
+        entry, args = (entry, ()) if third is None else (POLY[entry], (third,))
+    else:
+        args = () if budgeted else (third,)
     for m in (-2, 0, 1, 2, 3):
         for n in (-2, 0, 1, 5, 2**70):
             start = time.perf_counter()

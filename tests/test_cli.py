@@ -454,16 +454,15 @@ def test_verify_failure_json_past_the_int_str_limit(capsys, monkeypatch, low_int
     assert summary["failures"] == 1
 
 
-def _quotient_count(m, x, modulus=None):
-    """A wrong count whose residues are easy to predict: x // m, reduced
-    mod ``modulus`` when the caller asks for a residue."""
-    return x // m if modulus is None else x // m % modulus
+def _quotient_count(m, x):
+    """A wrong count whose residues are easy to predict: x // m."""
+    return x // m
 
 
 def _quotient_residues(m, ns, modulus, shift):
     """``_quotient_count`` in the residue route's range form: x // m mod
     ``modulus`` at each x = m**shift * n."""
-    return (_quotient_count(m, m**shift * n, modulus) for n in ns)
+    return (_quotient_count(m, m**shift * n) % modulus for n in ns)
 
 
 def _zero_afs_c_mod(r):
@@ -481,9 +480,11 @@ def _all_ones(m, alpha, betas):
 
 
 def _failure_lines(suite, records, cases, **extra):
+    """The failure lines and summary of a verify run; a record may end in a
+    dict of its own extra fields, which follow ``extra``."""
     lines = [json.dumps({"m": m, "n": n, "suite": suite,
-                         "expected": expected, "actual": actual, **extra})
-             for m, n, expected, actual in records]
+                         "expected": expected, "actual": actual, **extra, **dict(*own)})
+             for m, n, expected, actual, *own in records]
     summary = {"suite": suite, "cases_run": cases, "failures": len(records), "skipped": 0}
     return "\n".join(lines + [json.dumps(summary)]) + "\n"
 
@@ -597,6 +598,19 @@ WRONG_SIDE_CASES = {
         ["verify", "--suite", "churchhouse", "--n-range", "1..2", "--k-range", "1..1"],
         _failure_lines("churchhouse", [(2, 1, "0", "nonzero"), (2, 2, "0", "nonzero")],
                        2, k=1, form="second"),
+    ),
+    # x // 2 at 16, 4, 8 and 2: 8 - 2 = 6 mod 32 and 4 - 1 = 3 mod 8
+    "congruence-churchhouse": (
+        counting, "count_b_residues", _quotient_residues,
+        ["congruence", "--property", "churchhouse", "--base", "2", "--n", "1", "--k", "1"],
+        "first=FAIL second=FAIL\n",
+    ),
+    "verify-churchhouse-route": (
+        counting, "count_b_residues", _quotient_residues,
+        ["verify", "--suite", "churchhouse", "--n-range", "1..2", "--k-range", "1..1"],
+        _failure_lines("churchhouse", [(2, n, "0", "nonzero", {"form": form})
+                                       for n in (1, 2) for form in ("first", "second")],
+                       2, k=1),
     ),
     "count-check-disagreement": (
         counting, "count_b_poly", _quotient_count,
@@ -764,7 +778,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
-@pytest.mark.parametrize("suite", ["afs-b", "afs-c", "reduction"])
+@pytest.mark.parametrize("suite", ["afs-b", "afs-c", "afs-equiv", "reduction"])
 def test_residue_sweep_at_a_large_n_keeps_its_memory_bounded(suite):
     # each n's digits take about 9 KB at 2^1100, and c's quotients x // m**t
     # about 75 KB per block; 2000 points would take about 35 MiB if the

@@ -73,23 +73,34 @@ def test_poly_matches_recurrence_property(m, n):
     assert count_b_poly(m, n) == recurrence_table(m, n)[n]
 
 
+def _residue_b(m: int, n: int, modulus: int) -> int:
+    """b(m, n) mod ``modulus``, the one-point block of the residue route."""
+    [residue] = counting.count_b_residues(m, range(n, n + 1), modulus, 0)
+    return residue
+
+
+def _residue_c(m: int, n: int, modulus: int) -> int:
+    """c(m, n) mod ``modulus``, the one-point block of the residue route."""
+    [residue] = counting.count_c_residues(m, range(n, n + 1), modulus, 0)
+    return residue
+
+
 @settings(deadline=None, max_examples=1000)
 @given(st.data())
 def test_residue_route_equals_the_exact_count_mod_m(data):
     # every residue check reduces the level loop mod M; the residue must be
-    # the exact count's, for the moduli the checks use.  With a modulus the
-    # loop's split is its top and its step the reduced one; without, it
-    # meets in the middle, so this sets the transposed half against the
-    # reduced steps
+    # the exact count's, for the moduli the checks use.  The residue route's
+    # loop runs to its top on reduced steps; the exact one meets in the
+    # middle, so this sets the transposed half against the reduced steps
     m = data.draw(st.integers(2, 10), label="m")
     n = data.draw(st.one_of(st.integers(0, 2000), st.integers(0, m**40)), label="n")
     k = data.draw(st.integers(1, 40), label="k")
     b, c = count_b_poly(m, n), count_c_poly(m, n)
     for modulus in (m, m**2, m**4, 2 ** (3 * k + 2)):
-        assert count_b_poly(m, n, modulus) == b % modulus
-        assert count_c_poly(m, n, modulus) == c % modulus
+        assert _residue_b(m, n, modulus) == b % modulus
+        assert _residue_c(m, n, modulus) == c % modulus
         if n <= 2000:  # a route that does not run the level loop
-            assert count_b_poly(m, n, modulus) == recurrence_table(m, n)[n] % modulus
+            assert _residue_b(m, n, modulus) == recurrence_table(m, n)[n] % modulus
 
 
 def test_residue_memo_keys_do_not_collide_across_bases_and_moduli():
@@ -107,8 +118,8 @@ def test_residue_memo_keys_do_not_collide_across_bases_and_moduli():
     memo.cache_clear()
     for order in (cases, cases[::-1]):
         for m, n, modulus in order:
-            assert count_b_poly(m, n, modulus) == tables[m][n] % modulus
-            assert count_c_poly(m, n, modulus) == exact_c[m, n] % modulus
+            assert _residue_b(m, n, modulus) == tables[m][n] % modulus
+            assert _residue_c(m, n, modulus) == exact_c[m, n] % modulus
     assert memo.cache_info().hits > 0
 
 
@@ -125,13 +136,14 @@ def test_exact_route_stays_out_of_the_residue_memo():
 @settings(deadline=None)
 @given(st.data())
 def test_split_loop_equals_the_bottom_up_loop(data):
-    # a modulus above the count keeps every value and runs the level loop
-    # bottom-up only; the exact count splits it and runs the top transposed
+    # a modulus above the count keeps every value and runs the residue
+    # route's loop bottom-up only; the exact count splits it and runs the
+    # top transposed
     m = data.draw(st.integers(2, 10), label="m")
     n = data.draw(st.integers(0, m**60), label="n")
-    for count in (count_b_poly, count_c_poly):
+    for count, residue in ((count_b_poly, _residue_b), (count_c_poly, _residue_c)):
         exact = count(m, n)
-        assert count(m, n, modulus=1 << exact.bit_length()) == exact
+        assert residue(m, n, 1 << exact.bit_length()) == exact
 
 
 def _block_grid(m: int) -> list[range]:
@@ -254,9 +266,9 @@ def _has_top_offset_minus_one(m: int, n: int) -> bool:
     return -1 in offsets[(6 * depth + 5) // 10:depth]
 
 
-SPLIT_EDGES = {  # base -> n at the split's edge cases, up to m**4; with a
-    # modulus the same n run the loop to the top: depth 0, depth 1 and the
-    # offsets -1 on the reduced side
+SPLIT_EDGES = {  # base -> n at the split's edge cases, up to m**4; mod M
+    # the same n run the residue route's loop to the top: depth 0, depth 1
+    # and the offsets -1 on the reduced side
     m: sorted({
         *range(m),  # c's chain is empty: depth 0
         m, m + 1, 2 * m - 1, m * m - 1,  # depth 1: no level above the split
@@ -276,15 +288,15 @@ def test_split_edge_cases_match_reference_tables(m):
         assert count_b_poly(m, n) == b[n], n
         assert count_c_poly(m, n) == c[n], n
         for modulus in (m, m * m, 7, 2**5):
-            assert count_b_poly(m, n, modulus) == b[n] % modulus, (n, modulus)
-            assert count_c_poly(m, n, modulus) == c[n] % modulus, (n, modulus)
+            assert _residue_b(m, n, modulus) == b[n] % modulus, (n, modulus)
+            assert _residue_c(m, n, modulus) == c[n] % modulus, (n, modulus)
 
 
 def test_level_loop_steps_once_per_level_below_its_split(monkeypatch):
-    # one loop steps S_1 .. S_split: with a modulus the split is the top and
-    # each step one (memoised) reduced level, else round(0.6 * depth) and
-    # each step one substitution; the reduced steps compose on a memo miss,
-    # so only their own count is pinned
+    # one loop steps S_1 .. S_split: on the residue route's one-point block
+    # the split is the top and each step one (memoised) reduced level, on the
+    # exact route round(0.6 * depth) and each step one substitution; the
+    # reduced steps compose on a memo miss, so only their own count is pinned
     calls = {}
     residue_level = counting._residue_level
     compose_affine = polysum.IntPolynomial.compose_affine
@@ -300,10 +312,11 @@ def test_level_loop_steps_once_per_level_below_its_split(monkeypatch):
     monkeypatch.setattr(counting, "_residue_level", residue_spy)
     monkeypatch.setattr(polysum.IntPolynomial, "compose_affine", compose_spy)
     for m, n in ((2, 2**40 + 12345), (3, 3**25 + 5), (10, 10**12 + 7), (4, 20), (5, 7)):
-        for gapfree, count in ((False, count_b_poly), (True, count_c_poly)):
+        for gapfree, count, residue in ((False, count_b_poly, _residue_b),
+                                        (True, count_c_poly, _residue_c)):
             depth = max(r for r, _ in chain(m, n, gapfree)[1])
             calls.update(residue=0, compose=0)
-            count(m, n, modulus=m**3)
+            residue(m, n, m**3)
             assert calls["residue"] == depth - 1, (m, n, gapfree)
             calls.update(residue=0, compose=0)
             count(m, n)
@@ -506,13 +519,13 @@ def test_argument_validation():
         recurrence_table(1, 10)
     with pytest.raises(ValueError):
         count_b_gf(2, -1)
-    for count in (count_b_poly, count_c_poly):
+    for residue in (_residue_b, _residue_c):
         for modulus in (0, -3):
             with pytest.raises(ValueError, match=f"modulus must be positive, got {modulus}"):
-                count(3, 100, modulus)
+                residue(3, 100, modulus)
             start = time.perf_counter()  # refused before the level loop runs
             with pytest.raises(ValueError, match="modulus must be positive"):
-                count(2, 2**400, modulus)
+                residue(2, 2**400, modulus)
             assert time.perf_counter() - start < 1.0
 
 
