@@ -43,7 +43,7 @@ C_ROUTES = {
 
 def _reprs(m: int, ns: range):
     """The digits of each n of ``ns``, by carry, as a ``BaseRepr``."""
-    return (BaseRepr(m, tuple(digits)) for _, digits, _ in radix.consecutive_digits(m, ns))
+    return (BaseRepr(m, tuple(digits)) for _, digits, _ in radix.consecutive_digits(m, ns, 0))
 
 
 def _predicted(predict, m: int, ns: range):

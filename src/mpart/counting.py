@@ -17,19 +17,19 @@ c(m, n), the number of gap-free partitions (every power below the largest
 part occurs), is computed by literal summation and by the polynomial route;
 the partitions module counts both families by brute-force enumeration.
 Both polynomial routes are exact only.  A count mod M comes from the
-residue route (``count_b_residues``, ``count_c_residues``), which runs
-the same level loop bottom-up to the top with every level reduced mod M;
-every congruence check takes it, a single n as a one-point block.  The
-route answers a block of consecutive n at once: their multiples
-m**shift * n share every digit above the carry, so each n redoes only
-the levels below it.  Mod m a reduced level is one residue, so a verify
-sweep meets the same few levels over and over: the reduced step is
-memoised (``_residue_level``, keyed by the base, the modulus, the level's
-coefficients and the offset, an LRU cache of the RESIDUE_LEVELS most
-recent steps).  The exact route never enters it.
+residue route (``count_b_residues``, ``count_c_residues``), which runs the
+same level loop bottom-up to the top with every level reduced mod M; every
+congruence check takes it, a single n as a one-point block.  The route
+answers a block of consecutive n at once: x = m**shift * n has its digits
+carried in place from place shift, each n redoes only the levels below the
+carry, and a carry into the top digit starts afresh.  Mod m a reduced
+level is one residue, so a verify sweep meets the same few levels over and
+over: the reduced step is memoised (``_residue_level``, keyed by the base,
+the modulus, the level's coefficients and the offset, an LRU cache of the
+RESIDUE_LEVELS most recent steps).  The exact route never enters it.
 
 Counts at n = 0 are defined as 1 (the empty partition) throughout.  Every
-count checks (m, n) through ``to_base`` first, then its budget or modulus.
+count checks (m, n) through ``to_base`` first, then the rest of its input.
 """
 
 from __future__ import annotations
@@ -139,81 +139,75 @@ def _residue_level(m: int, modulus: int, coeffs: tuple[int, ...], offset: int) -
 def _residue_block(m: int, ns: range, modulus: int, shift: int, gapfree: bool):
     """b(m, x) mod M = ``modulus``, or c(m, x) when ``gapfree``, at x =
     m**shift * n for each n of the consecutive range ``ns``, as an
-    iterator.  (m, ns.start) goes through ``to_base`` and then the modulus
-    is checked, both at the call, so a bad input raises before any n is
-    counted.
+    iterator.  ``consecutive_digits`` checks (m, ns.start), the step and the
+    shift, then the modulus is checked, all at the call, so a bad input
+    raises before any n is counted.
 
     Each x runs the level loop of ``_chain_total`` bottom-up to the top with
     every level reduced mod M: the prefix sum, the substitution and the
     evaluation at an integer are integer-linear in the binomial basis, so
     reducing each h_t mod M leaves the residue exact.  Reduced top
     coefficients that vanish are dropped, so for M a power of m the degree
-    collapses and the levels stay small; the step is ``_residue_level``.
-    For a large modulus such as 2**(3k+2) nearly every step is new, and its
-    memo bounds what they keep to RESIDUE_LEVELS levels."""
-    runs = consecutive_digits(m, ns)
+    collapses and the levels stay small; the step is ``_residue_level``."""
+    runs = consecutive_digits(m, ns, shift)
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
     return _block_walk(m, ns, runs, modulus, shift, gapfree)
 
 
 def _block_walk(m: int, ns: range, runs, modulus: int, shift: int, gapfree: bool):
-    """The walk behind ``_residue_block``, over the digits of each n from
-    ``runs`` (``consecutive_digits``), shifted up ``shift`` places.  Level
-    t's terms read x's digits from t - 1 up (``kernels.gapfree_level``; for
-    b the offset alpha_t and the top digit), so a carry through digit i
-    gives new terms to levels 1..i + 1 only, and c's tops come from the
-    quotients x // m**t, each below the carry rebuilt from the unchanged
-    one above it.  Each level t keeps a dict from the reduced S_t to the
-    residue that levels >= t add, valid until a carry reaches digit t - 1:
-    the walk climbs from S_1, stops at the first level above the new terms
-    whose dict holds its S_t, and fills the dicts along its path.  Where n
-    reaches a power of m the depth grows and the walk starts afresh; nothing
-    outlives the iterator."""
-    last = ns[-1] if ns else None
+    """The walk behind ``_residue_block``, over x's digits alpha, carried in
+    place from place ``shift`` up (``consecutive_digits``).  Level t's terms
+    read x's digits from t - 1 up (``kernels.gapfree_level``; for b the
+    offset alpha_t and the top digit), so a carry through digit i gives new
+    terms to levels 1..i + 1 only, and c's tops come from the quotients
+    x // m**t, each below the carry rebuilt from the one above it.  A carry
+    into the top digit starts the walk afresh, the only time b's one stratum
+    changes.  Three mechanisms stay, each timed against a copy without it
+    on a 2-vCPU host.  Level t's dict maps the reduced S_t to what levels
+    >= t add until a carry reaches digit t - 1; the climb from S_1 stops at
+    the first level above the new terms whose dict holds its S_t and fills
+    the dicts on its path (without them the sweep op's median rose from
+    1.8-2.0 ms to 2.4-2.8).  The level step's memo is shared and bounded
+    (``_residue_level``; without it 1.3-1.9 ms became 3.8-5.3, and a memo
+    per block, missing the steps churchhouse's one-point blocks share
+    across n, raised the 90th percentile from 7.3-8.3 ms to 8.5-12.0).  A
+    one-point block fills no dicts: filling them took churchhouse at --n
+    201 --k 1000 from 6.2 s and 24.7 MiB peak RSS to 8.2 s and 80.4."""
+    fill = len(ns) > 1  # a later n reads the dicts this one fills
     unit = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
-    j = None  # x's top digit index, or None to start afresh
-    for n, digits, i in runs:
-        if n == 0:  # b(m, 0) = c(m, 0) = 1, the empty partition
-            j = None
+    for n, alpha, i in runs:
+        if n == 0:  # b(m, 0) = c(m, 0) = 1, the empty partition; n = 1 starts afresh
             yield 1 % modulus
             continue
-        i += shift  # x's highest changed digit
-        fill = n != last  # a later n reads the dicts this one fills
-        if j == len(digits) - 1 + shift:
-            alpha[shift:i + 1] = digits[:i + 1 - shift]
-            for level in levels[1:i + 2]:
-                level.clear()
-        else:
-            alpha = [0] * shift + digits  # x = m**shift * n
-            j = i = len(alpha) - 1
-            depth = j if gapfree else max(j, 1)
+        if i == len(alpha) - 1:  # a carry into the top digit: start afresh
+            depth = i if gapfree else max(i, 1)
             levels = [{} for _ in range(depth + 1)] if fill else None
             if gapfree:
-                quot = [0] * (j + 2)  # quot[t] = x // m**t
+                quot = [0] * (i + 2)  # quot[t] = x // m**t
                 offsets, tops = [0] * (depth + 1), [0] * (depth + 1)
             else:  # b's offsets are x's digits, and its one stratum sits at the top
                 offsets, tops = alpha, [None] * (depth + 1)
+                tops[depth] = alpha[depth] if i else 0  # x // m**depth
+        else:
+            for level in levels[1:i + 2]:
+                level.clear()
         low = i + 1  # levels 1..low have new terms
         if gapfree:
             for t in range(i, 0, -1):
                 quot[t] = quot[t + 1] * m + alpha[t]
             for t in range(1, min(low, depth) + 1):
                 offsets[t], tops[t] = kernels.gapfree_level(m, alpha, t, quot[t])
-        else:
-            tops[depth] = alpha[depth] if j else 0  # x // m**depth
-        watch = shift + 1 if fill else low  # no dict at or below it is read or filled
         s = unit
         path = []
         acc = 0  # what levels 1..t - 1 add
         for t in range(1, depth + 1):
-            if t > watch:
-                if t > low:
-                    tail = levels[t].get(s.coeffs)
-                    if tail is not None:
-                        break
-                if fill:
-                    path.append((levels[t], s.coeffs, acc))
+            if t > low:
+                tail = levels[t].get(s.coeffs)
+                if tail is not None:
+                    break
+            if fill and t > shift + 1:  # levels 1..shift + 1 change at every n
+                path.append((levels[t], s.coeffs, acc))
             if tops[t] is not None:
                 acc += s.eval(tops[t])
             if t < depth:

@@ -58,22 +58,27 @@ def to_base(m: int, n: int) -> BaseRepr:
     return BaseRepr(m, tuple(digits))
 
 
-def consecutive_digits(m: int, ns: range):
+def consecutive_digits(m: int, ns: range, shift: int):
     """(n, digits, i) for each n of the consecutive range ``ns``, after (m,
-    ns.start) has gone through ``to_base`` at the call: n's base-m digits,
-    least significant first, and the index i of the highest digit that
-    changed since the n before (the top one, for the first n).  The digits
-    are one list, advanced by carry and rewritten in place, so a caller that
-    keeps them copies them; where n reaches a power of m the list is a new
-    one, one digit longer."""
-    return _carried(m, ns, list(to_base(m, ns.start).digits))
+    ns.start), the step and the shift have been checked at the call: the
+    base-m digits of x = m**shift * n, least significant first, and the index
+    i of the highest digit that changed since the n before (the top one, for
+    the first n).  The digits are one list, carried from place ``shift`` and
+    rewritten in place, so a caller that keeps them copies them; where x
+    reaches a power of m the list is a new one, one digit longer."""
+    digits = to_base(m, ns.start).digits
+    if ns.step != 1:
+        raise ValueError(f"range step must be 1, got {ns.step}")
+    if shift < 0:
+        raise ValueError(f"shift must be nonnegative, got {shift}")
+    return _carried(m, ns, [0] * shift + list(digits), shift)
 
 
-def _carried(m: int, ns: range, digits: list[int]):
+def _carried(m: int, ns: range, digits: list[int], shift: int):
     if ns:
         yield ns[0], digits, len(digits) - 1
     for n in ns[1:]:
-        i = 0
+        i = shift
         while i < len(digits) and digits[i] == m - 1:
             digits[i] = 0
             i += 1

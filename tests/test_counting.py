@@ -148,9 +148,11 @@ def test_split_loop_equals_the_bottom_up_loop(data):
 
 def _block_grid(m: int) -> list[range]:
     """Blocks of consecutive n at base m: from 0, from 1, and across m**k
-    for the two smallest k with m**k > 5."""
+    for the two smallest k with m**k > 5; for m >= 3 also across 2 * m**k
+    at the smallest, a carry into the top digit where no power of m starts."""
     ks = [k for k in range(1, 6) if m**k > 5][:2]
-    return [range(0, 12), range(1, 12), *(range(m**k - 5, m**k + 6) for k in ks)]
+    tops = [range(2 * m**ks[0] - 5, 2 * m**ks[0] + 6)] if m >= 3 else []
+    return [range(0, 12), range(1, 12), *(range(m**k - 5, m**k + 6) for k in ks), *tops]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 10, 10**5])
@@ -527,6 +529,13 @@ def test_argument_validation():
             with pytest.raises(ValueError, match="modulus must be positive"):
                 residue(2, 2**400, modulus)
             assert time.perf_counter() - start < 1.0
+    for block in (counting.count_b_residues, counting.count_c_residues):
+        for ns in (range(5, 12, 2), range(9, 5, -1)):
+            with pytest.raises(ValueError, match=f"range step must be 1, got {ns.step}"):
+                block(2, ns, 1000, 0)
+        for modulus in (1000, 0):  # the shift is checked before the modulus
+            with pytest.raises(ValueError, match="shift must be nonnegative, got -1"):
+                block(2, range(5, 9), modulus, -1)
 
 
 def test_every_formula_route_checks_the_base_at_n_zero():
