@@ -109,7 +109,7 @@ def phi_inv(b: BetaSeq) -> MaryPartition:
     lam = carry_mults(b.m, to_base(b.m, b.n).digits, b.betas)
     if lam is None:
         raise ValueError("sequence violates its chained bounds")
-    return MaryPartition.from_mults(b.m, lam)
+    return MaryPartition(b.m, lam)
 
 
 def is_member(b: BetaSeq) -> bool:

@@ -91,28 +91,28 @@ def count_b_gf(m: int, upto: int) -> list[int]:
     return coeffs
 
 
-def _chain_total(m: int, offsets, strata, total: int = 0) -> int:
+def _chain_total(m: int, offsets, strata) -> int:
     """The vector count of a ``kernels.chain``, collapsed level by level:
     h_0 = 1, S_t is the prefix sum of h_{t-1}, and h_t(k) = S_t(offsets[t]
     + m*k), each level one prefix sum plus one affine substitution in the
-    binomial basis; stratum (r, top) adds S_r(top), with S_r(-1) = 0.
+    binomial basis; stratum (r, top) adds S_r(top), S_0 = 1 and S_r(-1) = 0.
 
     Every level map and every stratum's evaluation is linear in the
     coefficients, so the loop meets in the middle, at a split level t*.
-    One bottom-up loop steps S_1 .. S_{t*}, adding the strata r <= t* to
-    ``total`` (the count's starting value).  Above the split the loop runs
-    transposed, top-down, on a covector w: w starts at zero, and at each
-    level t > t* the loop adds stratum t's covector (C(top_t, i))_i, then
-    carries w down one level through the transposed prefix sum and
-    substitution (``polysum``).  One dot product of w with S_{t*} joins the
-    halves; at t* = depth the top loop does not run and the join adds 0.
-    The coefficients of S_t grow with t and the covector's entries with
-    depth - t, so t* = round(0.6 * depth) and each half runs where its
-    numbers are small.  A count mod M takes the residue route instead
-    (``_residue_block``), whose reduced levels stay small to the top."""
+    One bottom-up loop steps S_1 .. S_{t*}, adding the strata r <= t*.
+    Above the split it runs transposed, top-down, on a covector w: w starts
+    at zero, and at each level t > t* the loop adds stratum t's covector
+    (C(top_t, i))_i, then carries w down one level through the transposed
+    prefix sum and substitution (``polysum``).  One dot product of w with
+    S_{t*} joins the halves; at t* = depth the top loop does not run and the
+    join adds 0.  The coefficients of S_t grow with t and the covector's
+    entries with depth - t, so t* = round(0.6 * depth) and each half runs
+    where its numbers are small.  A count mod M takes the residue route
+    instead (``_residue_block``), whose reduced levels stay small to the top."""
     tops = dict(strata)
-    depth = max(tops, default=0)
+    depth = max(tops)
     split = (6 * depth + 5) // 10  # round(0.6 * depth)
+    total = 1 if 0 in tops else 0
     s = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
     for t in range(1, split + 1):
         if t in tops:
@@ -163,12 +163,13 @@ def _block_walk(m: int, ns: range, runs, modulus: int, shift: int, gapfree: bool
     terms to levels 1..i + 1 only, and c's tops come from the quotients
     x // m**t, each below the carry rebuilt from the one above it.  A carry
     into the top digit starts the walk afresh, the only time b's one stratum
-    changes.  Three mechanisms stay, each timed against a copy without it
-    on a 2-vCPU host.  Level t's dict maps the reduced S_t to what levels
-    >= t add until a carry reaches digit t - 1; the climb from S_1 stops at
-    the first level above the new terms whose dict holds its S_t and fills
-    the dicts on its path (without them the sweep op's median rose from
-    1.8-2.0 ms to 2.4-2.8).  The level step's memo is shared and bounded
+    changes; x = 0, the one digit 0, is such a start, and stratum 0 adds 1.
+    Three mechanisms stay, each timed against a copy without it on a 2-vCPU
+    host.  Level t's dict maps the reduced S_t to what levels >= t add until
+    a carry reaches digit t - 1; the climb from S_1 stops at the first level
+    above the new terms whose dict holds its S_t and fills the dicts on its
+    path (without them the sweep op's median rose from 1.8-2.0 ms to
+    2.4-2.8).  The level step's memo is shared and bounded
     (``_residue_level``; without it 1.3-1.9 ms became 3.8-5.3, and a memo
     per block, missing the steps churchhouse's one-point blocks share
     across n, raised the 90th percentile from 7.3-8.3 ms to 8.5-12.0).  A
@@ -176,19 +177,16 @@ def _block_walk(m: int, ns: range, runs, modulus: int, shift: int, gapfree: bool
     201 --k 1000 from 6.2 s and 24.7 MiB peak RSS to 8.2 s and 80.4."""
     fill = len(ns) > 1  # a later n reads the dicts this one fills
     unit = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
-    for n, alpha, i in runs:
-        if n == 0:  # b(m, 0) = c(m, 0) = 1, the empty partition; n = 1 starts afresh
-            yield 1 % modulus
-            continue
+    for _, alpha, i in runs:
         if i == len(alpha) - 1:  # a carry into the top digit: start afresh
-            depth = i if gapfree else max(i, 1)
+            depth = i
             levels = [{} for _ in range(depth + 1)] if fill else None
             if gapfree:
                 quot = [0] * (i + 2)  # quot[t] = x // m**t
                 offsets, tops = [0] * (depth + 1), [0] * (depth + 1)
             else:  # b's offsets are x's digits, and its one stratum sits at the top
                 offsets, tops = alpha, [None] * (depth + 1)
-                tops[depth] = alpha[depth] if i else 0  # x // m**depth
+                tops[depth] = alpha[depth]
         else:
             for level in levels[1:i + 2]:
                 level.clear()
@@ -200,7 +198,7 @@ def _block_walk(m: int, ns: range, runs, modulus: int, shift: int, gapfree: bool
                 offsets[t], tops[t] = kernels.gapfree_level(m, alpha, t, quot[t])
         s = unit
         path = []
-        acc = 0  # what levels 1..t - 1 add
+        acc = tops[0] is not None  # what levels 0..t - 1 add: stratum 0 adds 1
         for t in range(1, depth + 1):
             if t > low:
                 tail = levels[t].get(s.coeffs)
@@ -214,10 +212,10 @@ def _block_walk(m: int, ns: range, runs, modulus: int, shift: int, gapfree: bool
                 s = _residue_level(m, modulus, s.coeffs, offsets[t])
         else:
             tail = 0
-        tail += acc  # what levels 1..depth add
+        tail += acc  # what levels 0..depth add
         for level, coeffs, before in path:
             level[coeffs] = (tail - before) % modulus
-        yield (tail + 1 if gapfree else tail) % modulus
+        yield tail % modulus
 
 
 def count_b_residues(m: int, ns: range, modulus: int, shift: int):
@@ -228,8 +226,8 @@ def count_b_residues(m: int, ns: range, modulus: int, shift: int):
 
 def count_c_residues(m: int, ns: range, modulus: int, shift: int):
     """c(m, m**shift * n) mod ``modulus`` for each n of the consecutive range
-    ``ns``, as ``count_b_residues``; the loop's total starts at 1, c's
-    all-ones partition."""
+    ``ns``, as ``count_b_residues``; stratum 0, c's all-ones partition,
+    adds 1."""
     return _residue_block(m, ns, modulus, shift, gapfree=True)
 
 
@@ -261,6 +259,21 @@ def b_estimate(m: int, n: int, cap: int) -> int:
     return bound if bound <= cap else count_b_poly(m, n)
 
 
+def _loop_cap(m: int, n: int, need: str, route: str) -> int:
+    """``MPART_LOOP_BUDGET`` once (m, n) passes ``to_base`` and ``b_estimate``
+    is within it, else LoopBudgetExceeded: the estimate worded by ``need``
+    (``{m}`` the base), ``route`` the fallback."""
+    to_base(m, n)
+    cap = loop_budget()
+    estimate = b_estimate(m, n, cap)
+    if estimate > cap:
+        raise LoopBudgetExceeded(
+            f"nested summation for base {shown(m)}, n={shown(n)} {need.format(m=shown(m))} "
+            f"{shown(estimate)} innermost steps (budget {shown(cap)}); use {route}"
+        )
+    return cap
+
+
 def count_b_nested(m: int, n: int) -> int:
     """Literal evaluation of the chained sums over k_j..k_1.
 
@@ -270,39 +283,23 @@ def count_b_nested(m: int, n: int) -> int:
     the walker keeps its own count against it.  n < m takes the same path,
     one step, so budget 0 refuses it too.
     """
-    to_base(m, n)
-    cap = loop_budget()
-    estimate = b_estimate(m, n, cap)
-    if estimate > cap:
-        raise LoopBudgetExceeded(
-            f"nested summation for base {shown(m)}, n={shown(n)} needs at least "
-            f"{shown(estimate)} innermost steps (budget {shown(cap)}); use count_b_poly"
-        )
-    return kernels.nested_sum_b(m, n, cap)
+    return kernels.nested_sum_b(m, n, _loop_cap(m, n, "needs at least", "count_b_poly"))
 
 
 def count_c_poly(m: int, n: int) -> int:
     """Gap-free count: the strata of ``kernels.chain``, collapsed by the
     level loop of ``count_b_poly``, each level built once for every
-    stratum, with the all-ones partition as the loop's starting total."""
-    return _chain_total(m, *kernels.chain(m, n, gapfree=True), total=1)
+    stratum; stratum 0, the all-ones partition, adds 1."""
+    return _chain_total(m, *kernels.chain(m, n, gapfree=True))
 
 
 def count_c_nested(m: int, n: int) -> int:
     """Literal evaluation of the gap-free strata sums.
 
-    Innermost steps total one less than the answer; the pre-check of
+    Innermost steps total the answer; the pre-check of
     ``MPART_LOOP_BUDGET`` uses the plain partition count as an upper bound
     (gap-free partitions are a subset), keeping the guard independent of
     both gap-free routes.  So budget 0 refuses every n, n < m included.
     """
-    to_base(m, n)
-    cap = loop_budget()
-    estimate = b_estimate(m, n, cap)
-    if estimate > cap:
-        raise LoopBudgetExceeded(
-            f"nested summation for base {shown(m)}, n={shown(n)} could need up to "
-            f"b({shown(m)}, n) >= {shown(estimate)} innermost steps (budget {shown(cap)}); "
-            "use count_c_poly"
-        )
-    return 1 + kernels.nested_sum_c(m, n, cap)
+    need = "could need up to b({m}, n) >="
+    return kernels.nested_sum_c(m, n, _loop_cap(m, n, need, "count_c_poly"))

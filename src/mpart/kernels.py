@@ -9,12 +9,11 @@ overflows.
 
 Each walker first compares a floor of its count with ``cap``: the
 partitions into parts 1 and m alone, n//m + 1, or the gap-free ones among
-them, (n-1)//m + 1, less the all-ones partition for ``nested_sum_c``,
-whose leaves number c - 1.  So a walk that starts has n at most about
-m*cap and recurses no deeper than its digit count.  It then iterates its
-loops literally at every level above the innermost and takes the
-innermost loop's count as its range length: the innermost sum of ones for
-the nested sums; for the partition walks, which recurse over part
+them, (n-1)//m + 1, for both gap-free walkers.  So a walk that starts has
+n at most about m*cap and recurses no deeper than its digit count.  It
+then iterates its loops literally at every level above the innermost and
+takes the innermost loop's count as its range length: the innermost sum
+of ones for the nested sums; for the partition walks, which recurse over part
 multiplicities, the choice of lambda_1, with lambda_0 taking the rest.
 Steps are counted one per leaf, so the step total equals the count.
 
@@ -32,7 +31,8 @@ k_t) or ``mults`` (mults[t] = lambda_t).
 
 The two nested sums share one chained recursion over the chain that
 ``chain`` derives: b's single chain, or the gap-free strata counted from
-zero, which puts them in the same shape.
+zero, which puts them in the same shape; stratum 0 has no loop variable,
+so its one vector, the empty one, adds 1.
 
 The two partition walks share one multiplicity recursion: the gap-free
 walk runs it once per stratum, largest part first, each stratum with the
@@ -47,25 +47,25 @@ from .radix import to_base
 
 
 def chain(m: int, n: int, gapfree: bool) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The chained inequalities whose solutions count b(m, n), or c(m, n) - 1
+    """The chained inequalities whose solutions count b(m, n), or c(m, n)
     when ``gapfree``, as (offsets, strata): the integer vectors with, for one
     stratum (r, top), 0 <= k_r <= top and 0 <= k_t <= offsets[t] +
     m*k_{t+1} for t = r-1..1.  Strata come largest r first.
 
-    b has the one stratum (j, alpha_j), or (1, 0) for n < m, and offsets
-    alpha_t.  c - 1 has a stratum per largest part m**r, r = j..1, whose
-    level terms are ``gapfree_level``'s.
+    b has the one stratum (j, alpha_j) and offsets alpha_t, so n < m has
+    stratum 0 alone, whose one vector is the empty one.  c has a stratum
+    per largest part m**r, r = j..0, with ``gapfree_level``'s terms;
+    stratum 0, whose top is unread, is the all-ones partition.
     """
     r = to_base(m, n)
     alpha = r.digits
     if not gapfree:
-        depth = max(r.j, 1)
-        return alpha, ((depth, n // m**depth),)
+        return alpha, ((r.j, alpha[r.j]),)
     terms = []
     for t in range(r.j + 1):  # a_0 and top_0 are unread
         terms.append(gapfree_level(m, alpha, t, n))
         n //= m
-    return tuple(a for a, _ in terms[:r.j]), tuple((s, terms[s][1]) for s in range(r.j, 0, -1))
+    return tuple(a for a, _ in terms[:r.j]), tuple((s, terms[s][1]) for s in range(r.j, -1, -1))
 
 
 def gapfree_level(m: int, alpha, t: int, quotient: int) -> tuple[int, int]:
@@ -95,15 +95,18 @@ def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, leaf=None) -> i
 
     def walk(t: int, bound: int) -> int:
         nonlocal steps
-        if t == 1:
-            steps += bound + 1
+        if t <= 1:
+            # k_1's range, or at t = 0 stratum 0's one leaf, which sets no k
+            count = bound + 1 if t else 1
+            steps += count
             if steps > cap:
                 raise LoopBudgetExceeded(refusal)
             if leaf is not None:
-                for k in range(bound + 1):
-                    ks[0] = k
+                for k in range(count):
+                    if t:
+                        ks[0] = k
                     leaf(ks)
-            return bound + 1
+            return count
         offset = offsets[t - 1]
         if t == 2 and leaf is None:
             total = sum(range(offset + 1, offset + 2 + m * bound, m))
@@ -132,11 +135,11 @@ def nested_sum_b(m: int, n: int, cap: int, leaf=None) -> int:
 
 
 def nested_sum_c(m: int, n: int, cap: int) -> int:
-    """c(m, n) - 1 as the leaf count of the gap-free strata, walked from
-    zero as ``chain`` reindexes them."""
+    """c(m, n) as the leaf count of the gap-free strata r = j..0, walked
+    from zero as ``chain`` reindexes them; stratum 0 is the all-ones one."""
     to_base(m, n)
     refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
-    if (n - 1) // m > cap:
+    if (n - 1) // m + 1 > cap:
         raise LoopBudgetExceeded(refusal)
     return _chain_walk(m, *chain(m, n, gapfree=True), cap, refusal)
 

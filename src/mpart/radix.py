@@ -61,17 +61,17 @@ def to_base(m: int, n: int) -> BaseRepr:
 def consecutive_digits(m: int, ns: range, shift: int):
     """(n, digits, i) for each n of the consecutive range ``ns``, after (m,
     ns.start), the step and the shift have been checked at the call: the
-    base-m digits of x = m**shift * n, least significant first, and the index
-    i of the highest digit that changed since the n before (the top one, for
-    the first n).  The digits are one list, carried from place ``shift`` and
-    rewritten in place, so a caller that keeps them copies them; where x
-    reaches a power of m the list is a new one, one digit longer."""
+    digits ``to_base`` gives x = m**shift * n (x = 0 the one digit 0 at any
+    shift), and the index i of the highest digit that changed since the n
+    before (the top one, for the first n).  The digits are one list, carried
+    from place ``shift`` and rewritten in place, so a caller that keeps them
+    copies them; where x reaches a power of m the list is a new one."""
     digits = to_base(m, ns.start).digits
     if ns.step != 1:
         raise ValueError(f"range step must be 1, got {ns.step}")
     if shift < 0:
         raise ValueError(f"shift must be nonnegative, got {shift}")
-    return _carried(m, ns, [0] * shift + list(digits), shift)
+    return _carried(m, ns, [0] * shift * (ns.start > 0) + list(digits), shift)
 
 
 def _carried(m: int, ns: range, digits: list[int], shift: int):

@@ -840,6 +840,34 @@ def test_residue_commands_answer_or_refuse_at_the_edges_within_a_second(capsys):
                 assert code == 0 and out.endswith(" PASS\n") and err == "", argv
 
 
+def _edge_commands(m, n):
+    """Every subcommand but the residue checks at (m, n): all ones for phi,
+    the all-zero beta for phi-inv, and verify over three n."""
+    j = to_base(m, n).j if m >= 2 and n >= 0 else 0
+    point = [f"--base={m}", f"--n={n}"]
+    calls = [["digits", *point], ["phi", *point, f"--partition={n}"],
+             ["phi-inv", *point, "--beta=" + ",".join(["0"] * j)], ["table", *point],
+             ["congruence", "--property", "churchhouse", *point]]
+    calls += [["count", "--kind", kind, *point, *option] for kind in "bc"
+              for option in (["--check"], *(["--method", method] for method in cli.B_ROUTES))]
+    calls += [["verify", "--suite", suite, f"--base-range={m}..{m}", f"--n-range={n}..{n + 2}"]
+              for suite in ("oracle-b", "oracle-c", "bijection", "churchhouse")]
+    return calls
+
+
+def test_every_subcommand_answers_or_refuses_at_the_edges_within_a_second(capsys):
+    # the residue checks' grid: each call answers or refuses with exit 2 and
+    # an error line, at once and without a traceback
+    for m, n in itertools.product(RESIDUE_FUZZ_BASES, RESIDUE_FUZZ_STARTS):
+        for argv in _edge_commands(m, n):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0, argv
+            assert code in (0, 2) and "Traceback" not in err, argv
+            if code == 2:
+                assert out == "" and err.startswith("error: "), argv
+
+
 def test_table_into_a_closed_pipe_exits_2_without_a_traceback():
     # the reader takes one row and goes; the next chunk's write finds the pipe
     # closed, and so would the flush at interpreter exit

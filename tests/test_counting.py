@@ -177,7 +177,7 @@ def _level_loop_residue(m: int, x: int, modulus: int, gapfree: bool) -> int:
     offsets, strata = chain(m, x, gapfree)
     tops = dict(strata)
     depth = max(tops, default=0)
-    s, total = polysum.IntPolynomial((1, 1)), int(gapfree)
+    s, total = polysum.IntPolynomial((1, 1)), int(0 in tops)  # stratum 0 adds 1
     for t in range(1, depth + 1):
         if t in tops:
             total += s.eval(tops[t])
@@ -438,11 +438,12 @@ def test_nested_refusal_is_exact(set_budget):
 
 def test_estimate_exceeds_cap_exactly_when_b_does():
     # whether b_estimate answers with its floor, its upper bound or the
-    # exact count, it lies on the same side of cap as b(m, n)
+    # exact count, it lies on the same side of cap as b(m, n); the caps b - 1
+    # and b sit at the edge, where an upper bound one factor short passes
     for m in range(2, 8):
         exact = [count_b_poly(m, n) for n in range(3000)]
         for n, b in enumerate(exact):
-            for cap in (0, 1, 10, 100, 10**4, 10**6):
+            for cap in (0, 1, 10, 100, 10**4, 10**6, b - 1, b):
                 assert (counting.b_estimate(m, n, cap) > cap) == (b > cap), (m, n, cap)
 
 

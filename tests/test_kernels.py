@@ -32,13 +32,13 @@ def test_python_walker_cap_is_exact():
         "walk_gapfree": lambda cap: kernels.walk_gapfree(m, n, cap),
     }
     counts = {name: walk(10**6) for name, walk in walkers.items()}
-    assert counts == {"nested_sum_b": 9828, "nested_sum_c": 4913,
+    assert counts == {"nested_sum_b": 9828, "nested_sum_c": 4914,
                       "walk_partitions": 9828, "walk_gapfree": 4914}
     refusals = {
         "nested_sum_b": (LoopBudgetExceeded,
                          "nested summation for base 2, n=100 exceeded budget 9827"),
         "nested_sum_c": (LoopBudgetExceeded,
-                         "nested summation for base 2, n=100 exceeded budget 4912"),
+                         "nested summation for base 2, n=100 exceeded budget 4913"),
         "walk_partitions": (EnumerationBudgetExceeded,
                             "more than 9827 partitions of 100 in base 2"),
         "walk_gapfree": (EnumerationBudgetExceeded,
@@ -85,8 +85,7 @@ def test_partition_walkers_on_full_grid_with_exact_cap():
 
 def test_walkers_refuse_exactly_when_the_count_exceeds_the_cap():
     # the floors count the partitions into parts 1 and m alone; of those,
-    # the gap-free ones are the all-ones partition and those with a part 1;
-    # the gap-free nested sums leave out the all-ones partition
+    # the gap-free ones are the all-ones partition and those with a part 1
     for m in (2, 3, 4, 5):
         table = recurrence_table(m, 119)
         for n in range(1, 120):
@@ -95,7 +94,7 @@ def test_walkers_refuse_exactly_when_the_count_exceeds_the_cap():
                 kernels.walk_partitions: (n // m + 1, table[n], EnumerationBudgetExceeded),
                 kernels.walk_gapfree: ((n - 1) // m + 1, c, EnumerationBudgetExceeded),
                 kernels.nested_sum_b: (n // m + 1, table[n], LoopBudgetExceeded),
-                kernels.nested_sum_c: ((n - 1) // m, c - 1, LoopBudgetExceeded),
+                kernels.nested_sum_c: ((n - 1) // m + 1, c, LoopBudgetExceeded),
             }
             for walk, (floor, count, error) in cases.items():
                 assert floor <= count  # the floor is sound
@@ -150,7 +149,7 @@ def test_batched_pair_counts_and_refuses_exactly(m, n):
     c = len(partitions.enumerate_c(m, n))
     cases = {
         kernels.nested_sum_b: (n // m + 1, b, LoopBudgetExceeded),
-        kernels.nested_sum_c: ((n - 1) // m, c - 1, LoopBudgetExceeded),
+        kernels.nested_sum_c: ((n - 1) // m + 1, c, LoopBudgetExceeded),
         kernels.walk_partitions: (n // m + 1, b, EnumerationBudgetExceeded),
         kernels.walk_gapfree: ((n - 1) // m + 1, c, EnumerationBudgetExceeded),
     }

@@ -3,7 +3,7 @@ from functools import reduce
 
 import pytest
 
-from mpart.radix import BaseRepr, to_base
+from mpart.radix import BaseRepr, consecutive_digits, to_base
 
 
 def value(r: BaseRepr) -> int:
@@ -61,3 +61,21 @@ def test_invalid_inputs():
         BaseRepr(3, (3, 1))  # digit out of range
     with pytest.raises(ValueError):
         BaseRepr(3, (1, 0))  # zero top digit
+
+
+def test_consecutive_digits_are_the_digits_of_each_shifted_n():
+    # x = m**shift * n by carry from place shift, x = 0 as its one digit 0;
+    # i is the highest place that differs from the n before, the top at first
+    for m in (2, 3, 10):
+        for shift in range(4):
+            for ns in (range(0, 3 * m), range(1, 3 * m), range(m**3 - 2 * m, m**3 + 2 * m)):
+                before = None
+                for n, digits, i in consecutive_digits(m, ns, shift):
+                    expected = to_base(m, m**shift * n).digits
+                    assert tuple(digits) == expected, (m, shift, n)
+                    if before is None:
+                        assert i == len(expected) - 1, (m, shift, n)
+                    else:
+                        padded = before + (0,) * (len(expected) - len(before))
+                        assert i == max(t for t, d in enumerate(expected) if d != padded[t])
+                    before = expected
