@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ._frozen import Frozen
 from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, shown
-from .partitions import MaryPartition, _value, materialise
+from .partitions import MaryPartition, _value, visit_runs
 from .radix import to_base
 from . import kernels
 
@@ -121,18 +121,31 @@ def is_member(b: BetaSeq) -> bool:
 
 def enumerate_members(m: int, n: int) -> list[BetaSeq]:
     """Every sequence satisfying the chained bounds, in ascending
-    lexicographic order on (beta_j, ..., beta_1): ``partitions.materialise``
+    lexicographic order on (beta_j, ..., beta_1): ``partitions.visit_runs``
     over the nested walk of b (``kernels.nested_sum_b``), which counts the
     sequences without materializing them, so the budget check borrows
-    nothing from the formulas the sequences are checked against.  The
-    walk's budget error is raised as EnumerationBudgetExceeded."""
+    nothing from the formulas the sequences are checked against.  Each run
+    fixes beta_2, ..., beta_j, and its sequences are built in one pass,
+    with no length check or ``to_base`` lookup each.  The walk's budget
+    error is raised as EnumerationBudgetExceeded."""
 
-    def walk(m: int, n: int, cap: int, leaf=None) -> int:
+    def walk(m: int, n: int, cap: int, visit=None) -> int:
         try:
-            return kernels.nested_sum_b(m, n, cap, leaf)
+            return kernels.nested_sum_b(m, n, cap, visit)
         except LoopBudgetExceeded:
             raise EnumerationBudgetExceeded(
                 f"more than {shown(cap)} sequences for n={shown(n)} in base {shown(m)}") from None
 
-    # the leaf's ks has j + 1 entries, of which ks[:j] are the loop's
-    return materialise(walk, m, n, lambda ks: BetaSeq(m, n, tuple(ks[:-1])))
+    out = []
+    new = BetaSeq.unchecked
+
+    # ks has j + 1 entries, of which ks[:j] are the loop's; n < m has none
+    def run(ks, count):
+        if len(ks) == 1:
+            out.append(new(m, n, ()))
+            return
+        above = tuple(ks[1:-1])
+        out.extend([new(m, n, (k,) + above) for k in range(count)])
+
+    visit_runs(walk, m, n, run)
+    return out

@@ -42,8 +42,10 @@ C_ROUTES = {
 
 
 def _reprs(m: int, ns: range):
-    """The digits of each n of ``ns``, by carry, as a ``BaseRepr``."""
-    return (BaseRepr(m, tuple(digits)) for _, digits, _ in radix.consecutive_digits(m, ns, 0))
+    """The digits of each n of ``ns``, by carry, as a ``BaseRepr``, built
+    unchecked: the carry keeps them canonical."""
+    new = BaseRepr.unchecked
+    return (new(m, tuple(digits)) for digits, _ in radix.consecutive_digits(m, ns, 0))
 
 
 def _predicted(predict, m: int, ns: range):
@@ -159,32 +161,34 @@ def cmd_table(args) -> int:
     alpha = to_base(m, args.n).digits
     carry = bijection.carry_betas
     rows = []
-    row, fixed = None, 0  # the current run's format and beta_1 + lambda_1
 
     # the walk's vectors carry every exponent up to j, so they are the padded
     # display; phi reverses lex order, so the descending partitions come out
     # in ascending order of their sequences.  Within an innermost run only
     # lambda_1 (down by one), lambda_0 (up by m) and beta_1 = alpha_1 -
     # lambda_1 + m*beta_2 change, so beta_1 + lambda_1 is fixed: the carry
-    # runs at the run's first leaf, lambda_0 < m, which also renders the
-    # row format's fixed fields lambda_j..lambda_2 and beta_j..beta_2.
-    def leaf(mults):
-        nonlocal row, fixed
-        lam, rest = mults[1], mults[0]
-        if rest < m:
-            betas = carry(m, alpha, mults)
-            fixed = betas[0] + lam
-            row = ("".join([f"{x}," for x in mults[:1:-1]]) + "%d,%d\t"
-                   + "".join([f"{x}," for x in betas[:0:-1]]) + "%d")
-        rows.append(row % (lam, rest, fixed - lam))
-        if len(rows) == TABLE_CHUNK:
-            print("\n".join(rows))
-            rows.clear()
+    # runs once per run, on its first leaf, lambda_0 < m, which also renders
+    # the row format's fixed fields lambda_j..lambda_2 and beta_j..beta_2.
+    # A run's rows are formatted in slices that end where the chunk fills.
+    def run(mults, rem):
+        lam = rem // m
+        mults[1], mults[0] = lam, rem - m * lam
+        betas = carry(m, alpha, mults)
+        fixed = betas[0] + lam
+        row = ("".join([f"{x}," for x in mults[:1:-1]]) + "%d,%d\t"
+               + "".join([f"{x}," for x in betas[:0:-1]]) + "%d")
+        while lam >= 0:
+            stop = max(lam - (TABLE_CHUNK - len(rows)), -1)
+            rows.extend([row % (x, rem - m * x, fixed - x) for x in range(lam, stop, -1)])
+            lam = stop
+            if len(rows) == TABLE_CHUNK:
+                print("\n".join(rows))
+                rows.clear()
 
-    def single(mults):  # n < m: one multiplicity and an empty sequence
-        rows.append("%d\t" % mults[0])
+    def single(mults, rem):  # n < m: one multiplicity and an empty sequence
+        rows.append("%d\t" % rem)
 
-    partitions.visit_leaves(kernels.walk_partitions, m, args.n, leaf if len(alpha) > 1 else single)
+    partitions.visit_runs(kernels.walk_partitions, m, args.n, run if len(alpha) > 1 else single)
     if rows:
         print("\n".join(rows))
     return 0

@@ -177,7 +177,7 @@ def _block_walk(m: int, ns: range, runs, modulus: int, shift: int, gapfree: bool
     201 --k 1000 from 6.2 s and 24.7 MiB peak RSS to 8.2 s and 80.4."""
     fill = len(ns) > 1  # a later n reads the dicts this one fills
     unit = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
-    for _, alpha, i in runs:
+    for alpha, i in runs:
         if i == len(alpha) - 1:  # a carry into the top digit: start afresh
             depth = i
             levels = [{} for _ in range(depth + 1)] if fill else None

@@ -17,17 +17,21 @@ of ones for the nested sums; for the partition walks, which recurse over part
 multiplicities, the choice of lambda_1, with lambda_0 taking the rest.
 Steps are counted one per leaf, so the step total equals the count.
 
-Only without a leaf, the level above the innermost is iterated in one
+Only without a visitor, the level above the innermost is iterated in one
 ``sum(range(...))``, which runs its loop in C: it steps through every
 value of that level's variable and adds the innermost range lengths, with
 no closed form.  The steps grow by that sum before the one cap check;
 steps only grow, so a walk raises exactly when its total passes cap.
 
-The walks are also the enumerations' only loops: given ``leaf``, a walk
-iterates every level above the innermost in Python, and the innermost
-range too, after its step check, and calls leaf(buffer) at each leaf with
-the loop variables in one buffer rewritten in place, ``ks`` (ks[t-1] =
-k_t) or ``mults`` (mults[t] = lambda_t).
+The walks are also the enumerations' only loops: given ``visit``, a walk
+iterates every level above the innermost in Python and, after its step
+check, calls visit once per innermost run, a run being the leaves that
+share every loop variable above the innermost.  It passes the buffer in
+which those variables are rewritten in place, ``ks`` (ks[t-1] = k_t) or
+``mults`` (mults[t] = lambda_t), and the run's extent: k_1's range
+length, or the rest rem that lambda_1 and lambda_0 split.  The visitor
+fills the innermost entries itself (k_1, or lambda_1 and lambda_0), so the
+walker makes no call per leaf.
 
 The two nested sums share one chained recursion over the chain that
 ``chain`` derives: b's single chain, or the gap-free strata counted from
@@ -84,31 +88,29 @@ def gapfree_level(m: int, alpha, t: int, quotient: int) -> tuple[int, int]:
     return alpha[t] - 1 - chi + m * (alpha[t] == 0), quotient - 1 - chi
 
 
-def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, leaf=None) -> int:
+def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, visit=None) -> int:
     """Leaf count of the chained loops of ``chain``, raising
     LoopBudgetExceeded(refusal) once it passes cap; leaves come in ascending
-    lexicographic order on (k_r, ..., k_1).  Without a leaf, the k_2 loop
-    is one range over the k_1 range lengths offset + m*k_2 + 1; its bound
-    -1 leaves it empty."""
+    lexicographic order on (k_r, ..., k_1).  visit(ks, count) sees each
+    run, k_1 = 0..count-1 with ks[1:] set; stratum 0's run is its one leaf,
+    which reads no k.  Without a visitor, the k_2 loop is one range over the
+    k_1 range lengths offset + m*k_2 + 1; its bound -1 leaves it empty."""
     ks = [0] * len(offsets)
     steps = 0
 
     def walk(t: int, bound: int) -> int:
         nonlocal steps
         if t <= 1:
-            # k_1's range, or at t = 0 stratum 0's one leaf, which sets no k
+            # k_1's range, or at t = 0 stratum 0's one leaf
             count = bound + 1 if t else 1
             steps += count
             if steps > cap:
                 raise LoopBudgetExceeded(refusal)
-            if leaf is not None:
-                for k in range(count):
-                    if t:
-                        ks[0] = k
-                    leaf(ks)
+            if visit is not None:
+                visit(ks, count)
             return count
         offset = offsets[t - 1]
-        if t == 2 and leaf is None:
+        if t == 2 and visit is None:
             total = sum(range(offset + 1, offset + 2 + m * bound, m))
             steps += total
             if steps > cap:
@@ -123,15 +125,16 @@ def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, leaf=None) -> i
     return sum(walk(r, top) for r, top in strata)
 
 
-def nested_sum_b(m: int, n: int, cap: int, leaf=None) -> int:
+def nested_sum_b(m: int, n: int, cap: int, visit=None) -> int:
     """b(m, n) as the leaf count of the chained loops k_j..k_1 with upper
     bounds alpha_j and alpha_t + m*k_{t+1} over the base-m digits of n.
-    ``leaf`` sees ks with j + 1 entries, of which ks[:j] are the loop's."""
+    ``visit`` sees ks with j + 1 entries, of which ks[:j] are the loop's;
+    for n < m its one run has count 1 and no loop variable."""
     to_base(m, n)
     refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
     if n // m + 1 > cap:
         raise LoopBudgetExceeded(refusal)
-    return _chain_walk(m, *chain(m, n, gapfree=False), cap, refusal, leaf)
+    return _chain_walk(m, *chain(m, n, gapfree=False), cap, refusal, visit)
 
 
 def nested_sum_c(m: int, n: int, cap: int) -> int:
@@ -144,12 +147,14 @@ def nested_sum_c(m: int, n: int, cap: int) -> int:
     return _chain_walk(m, *chain(m, n, gapfree=True), cap, refusal)
 
 
-def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, leaf=None) -> int:
+def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, visit=None) -> int:
     """Number of partitions of n into parts m**0..m**top by the multiplicity
     recursion, raising EnumerationBudgetExceeded(refusal) once it passes cap;
     leaves come in descending lexicographic order on (lambda_top, ...,
-    lambda_0).  Without a leaf, the lambda_2 loop is one range over the
-    lambda_1 range lengths rem//m - m*lambda_2 + 1."""
+    lambda_0).  visit(mults, rem) sees each run with mults[2:] set: lambda_1
+    = rem//m down to 0 and lambda_0 = rem - m*lambda_1, or for top = 0 the
+    one leaf lambda_0 = rem.  Without a visitor, the lambda_2 loop is one
+    range over the lambda_1 range lengths rem//m - m*lambda_2 + 1."""
     powers = [m**t for t in range(top + 1)]
     mults = [0] * (top + 1)
     steps = 0
@@ -163,13 +168,10 @@ def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, leaf=No
             steps += count
             if steps > cap:
                 raise EnumerationBudgetExceeded(refusal)
-            if leaf is not None:
-                for lam in range(count - 1, -1, -1):
-                    mults[t] = lam
-                    mults[0] = rem - lam * m
-                    leaf(mults)
+            if visit is not None:
+                visit(mults, rem)
             return count
-        if t == 2 and leaf is None:
+        if t == 2 and visit is None:
             total = sum(range(rem // m + 1, 0, -m))
             steps += total
             if steps > cap:
@@ -185,27 +187,27 @@ def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, leaf=No
     return walk(top, n)
 
 
-def walk_partitions(m: int, n: int, cap: int, leaf=None) -> int:
+def walk_partitions(m: int, n: int, cap: int, visit=None) -> int:
     """Number of m-ary partitions of n by direct multiplicity recursion.
-    ``leaf`` sees mults with j + 1 entries.  By the descending lexicographic
-    order the leaves come in innermost runs, one per (lambda_2, ...,
-    lambda_j): a run starts at the one leaf with lambda_0 < m, where
-    lambda_1 is largest, and each later leaf of it has lambda_1 one less and
-    lambda_0 m more than the leaf before."""
+    ``visit`` sees mults with j + 1 entries, once per innermost run, that is
+    per (lambda_2, ..., lambda_j), in the walk's order: a run starts at the
+    one leaf with lambda_0 < m, where lambda_1 is largest, and each later
+    leaf of it has lambda_1 one less and lambda_0 m more than the leaf
+    before."""
     j = to_base(m, n).j
     refusal = f"more than {shown(cap)} partitions of {shown(n)} in base {shown(m)}"
     if n // m + 1 > cap:
         raise EnumerationBudgetExceeded(refusal)
-    return _multiplicity_walk(m, n, j, cap, refusal, leaf)
+    return _multiplicity_walk(m, n, j, cap, refusal, visit)
 
 
-def walk_gapfree(m: int, n: int, cap: int, leaf=None) -> int:
+def walk_gapfree(m: int, n: int, cap: int, visit=None) -> int:
     """Number of gap-free m-ary partitions of n: the plain multiplicity walk
     summed over the strata r = j..0, deepest walk first, each with the
     budget the ones before it left.  Those with largest part m**r are one
     part of each size m**0..m**r plus a partition of rest = n - (1 + m +
-    ... + m**r) >= 0 into those parts, which ``leaf`` sees as mults with
-    r + 1 entries: the gap-free partition is each entry plus one."""
+    ... + m**r) >= 0 into those parts, whose runs ``visit`` sees as mults
+    with r + 1 entries: the gap-free partition is each entry plus one."""
     j = to_base(m, n).j
     refusal = f"more than {shown(cap)} gap-free partitions of {shown(n)} in base {shown(m)}"
     # the all-ones partition and those with k >= 1 parts m and at least one
@@ -213,10 +215,10 @@ def walk_gapfree(m: int, n: int, cap: int, leaf=None) -> int:
     if (n - 1) // m + 1 > cap:
         raise EnumerationBudgetExceeded(refusal)
     if n == 0:  # the empty partition, in no stratum, is also the only plain one
-        return _multiplicity_walk(m, 0, 0, cap, refusal, leaf)
+        return _multiplicity_walk(m, 0, 0, cap, refusal, visit)
     total = 0
     for r in range(j, -1, -1):
         rest = n - (m ** (r + 1) - 1) // (m - 1)
         if rest >= 0:
-            total += _multiplicity_walk(m, rest, r, cap - total, refusal, leaf)
+            total += _multiplicity_walk(m, rest, r, cap - total, refusal, visit)
     return total

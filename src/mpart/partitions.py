@@ -3,7 +3,10 @@
 The enumerations here are the ground-truth oracles for the counting
 formulas: they walk every choice of part multiplicities directly, with no
 shared structure with the summation or polynomial methods.  Each checks the
-base first, then n, then its budget.
+base first, then n, then its budget.  They visit the walk once per
+innermost run (``visit_runs``) and build the run's partitions in one pass
+with ``MaryPartition.unchecked``: the walk already gives the canonical
+form, which ``MaryPartition(...)`` and ``from_mults`` still check.
 """
 
 from __future__ import annotations
@@ -71,52 +74,72 @@ def is_gap_free(p: MaryPartition) -> bool:
     return all(lam > 0 for lam in p.mults)
 
 
-def visit_leaves(walk, m: int, n: int, leaf) -> None:
-    """leaf(buffer) at every leaf of ``walk``, a kernels walker called as
-    walk(m, n, cap[, leaf]), in the walk's order.
+def visit_runs(walk, m: int, n: int, visit) -> None:
+    """visit(buffer, extent) at every innermost run of ``walk``, a kernels
+    walker called as walk(m, n, cap[, visit]), in the walk's order.
 
     (m, n) is checked through ``to_base``, then n >= 1, then
-    ``MPART_ENUM_BUDGET`` is read once as cap.  A first walk without a leaf
-    counts against cap, so the walker raises its own budget error before
-    any leaf is visited; a second walk of the same walker visits them.
+    ``MPART_ENUM_BUDGET`` is read once as cap.  A first walk without a
+    visitor counts against cap, so the walker raises its own budget error
+    before any run is visited; a second walk of the same walker visits them.
     """
     to_base(m, n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cap = enum_budget()
     walk(m, n, cap)
-    walk(m, n, cap, leaf)
-
-
-def materialise(walk, m: int, n: int, build) -> list:
-    """build(buffer) at every leaf of ``walk``, in the walk's order, kept in
-    a list: ``visit_leaves`` with a leaf that appends."""
-    out = []
-    visit_leaves(walk, m, n, lambda buffer: out.append(build(buffer)))
-    return out
+    walk(m, n, cap, visit)
 
 
 def enumerate_b(m: int, n: int) -> list[MaryPartition]:
     """All m-ary partitions of n, in descending lexicographic order on the
     multiplicity tuple read largest exponent first (padded to the top
-    exponent of n): ``materialise`` over ``kernels.walk_partitions``, each
-    vector built into a value object at its leaf.
+    exponent of n): ``visit_runs`` over ``kernels.walk_partitions``, each
+    run's partitions built in one pass.  A run fixes lambda_2, ...,
+    lambda_j, so their canonical tail, stripped of zeros above the largest
+    part, is cut once per run; where it is empty, lambda_1 is the top part
+    while positive and lambda_0 alone after it.
     """
-    return materialise(kernels.walk_partitions, m, n,
-                       lambda mults: MaryPartition.from_mults(m, mults))
+    out = []
+    new = MaryPartition.unchecked
+
+    def run(mults, rem):
+        top = len(mults)
+        while top > 2 and not mults[top - 1]:
+            top -= 1
+        above = tuple(mults[2:top])
+        if above:
+            out.extend([new(m, (rem - m * lam, lam) + above) for lam in range(rem // m, -1, -1)])
+        else:
+            out.extend([new(m, (rem - m * lam, lam)) for lam in range(rem // m, 0, -1)])
+            out.append(new(m, (rem,)))
+
+    visit_runs(kernels.walk_partitions, m, n, run)
+    return out
 
 
 def enumerate_c(m: int, n: int) -> list[MaryPartition]:
     """The gap-free subset of enumerate_b(m, n), in the same order:
-    ``materialise`` over ``kernels.walk_gapfree``.
+    ``visit_runs`` over ``kernels.walk_gapfree``.
 
     The walk goes stratum by stratum: the partitions with largest part
     m**r are those of the rest into parts m**0..m**r with every
-    multiplicity raised by one.  Largest part first, that is enumerate_b's
-    order.
+    multiplicity raised by one, so none is zero.  Largest part first, that
+    is enumerate_b's order.
     """
-    return materialise(kernels.walk_gapfree, m, n,
-                       lambda mults: MaryPartition(m, tuple(lam + 1 for lam in mults)))
+    out = []
+    new = MaryPartition.unchecked
+
+    def run(mults, rem):
+        if len(mults) == 1:  # stratum 0: the all-ones partition
+            out.append(new(m, (rem + 1,)))
+            return
+        above = tuple([lam + 1 for lam in mults[2:]])
+        out.extend([new(m, (rem - m * lam + 1, lam + 1) + above)
+                    for lam in range(rem // m, -1, -1)])
+
+    visit_runs(kernels.walk_gapfree, m, n, run)
+    return out
 
 
 def count_b_enum(m: int, n: int) -> int:

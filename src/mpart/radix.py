@@ -43,8 +43,9 @@ class BaseRepr(Frozen):
 def to_base(m: int, n: int) -> BaseRepr:
     """Base-m digits of n (least significant first), cached for the 256
     (m, n) used last: nearly every reuse (a count's (m, n) gate then its
-    digits, each ``BetaSeq``'s length check) follows a call with the same
-    key, and a large n's digits take kilobytes."""
+    digits, a checked ``BetaSeq``'s length check) follows a call with the
+    same key, and a large n's digits take kilobytes.  divmod's digits are
+    canonical, so the ``BaseRepr`` is built unchecked."""
     if m < 2:
         raise ValueError(f"base must be >= 2, got {m}")
     if n < 0:
@@ -55,11 +56,11 @@ def to_base(m: int, n: int) -> BaseRepr:
         digits.append(d)
         if n == 0:
             break
-    return BaseRepr(m, tuple(digits))
+    return BaseRepr.unchecked(m, tuple(digits))
 
 
 def consecutive_digits(m: int, ns: range, shift: int):
-    """(n, digits, i) for each n of the consecutive range ``ns``, after (m,
+    """(digits, i) for each n of the consecutive range ``ns``, after (m,
     ns.start), the step and the shift have been checked at the call: the
     digits ``to_base`` gives x = m**shift * n (x = 0 the one digit 0 at any
     shift), and the index i of the highest digit that changed since the n
@@ -76,8 +77,8 @@ def consecutive_digits(m: int, ns: range, shift: int):
 
 def _carried(m: int, ns: range, digits: list[int], shift: int):
     if ns:
-        yield ns[0], digits, len(digits) - 1
-    for n in ns[1:]:
+        yield digits, len(digits) - 1
+    for _ in ns[1:]:
         i = shift
         while i < len(digits) and digits[i] == m - 1:
             digits[i] = 0
@@ -86,7 +87,7 @@ def _carried(m: int, ns: range, digits: list[int], shift: int):
             digits[i] += 1
         else:
             digits = [0] * i + [1]
-        yield n, digits, i
+        yield digits, i
 
 
 def chi_vector(r: BaseRepr) -> tuple[int, ...]:

@@ -16,8 +16,9 @@ from mpart.bijection import (
 )
 from mpart.budgets import EnumerationBudgetExceeded
 from mpart.counting import recurrence_table
-from mpart.partitions import MaryPartition, enumerate_b, materialise, weight
+from mpart.partitions import MaryPartition, enumerate_b, weight
 from mpart.radix import to_base
+from walks import materialise
 
 # the full correspondence for base 4, n = 36 (multiplicities and sequences
 # both written largest index first)

@@ -12,8 +12,9 @@ import pytest
 from mpart import bijection, cli, congruence, counting, kernels
 from mpart.cli import main
 from mpart.counting import count_b_poly
-from mpart.partitions import count_c_enum, materialise
+from mpart.partitions import count_c_enum
 from mpart.radix import to_base
+from walks import materialise
 
 GOLDEN = Path(__file__).parent / "golden" / "table_4_36.tsv"
 

@@ -163,16 +163,25 @@ def test_batched_pair_counts_and_refuses_exactly(m, n):
 
 @pytest.mark.parametrize("m, n", PAIR_CASES)
 def test_leaf_walks_visit_every_leaf_in_order(m, n):
-    # with a leaf the pair is iterated literally: b leaves, each a distinct
-    # solution, in each walker's documented order
+    # with a visitor the pair is iterated literally, one run per value of the
+    # loop variables above the innermost: its runs expand to b leaves, each a
+    # distinct solution, in each walker's documented order
     b = recurrence_table(m, n)[n]
     j = to_base(m, n).j
     sequences = []
-    assert kernels.nested_sum_b(m, n, b, lambda ks: sequences.append(tuple(ks[:j]))) == b
+
+    def chain_run(ks, count):  # k_1 = 0..count-1 beside k_2..k_j
+        sequences.extend((k, *ks[1:j]) for k in range(count))
+
+    assert kernels.nested_sum_b(m, n, b, chain_run) == b
     assert sequences == [phi(p, n).betas for p in partitions.enumerate_b(m, n)]
     assert sequences == sorted(set(sequences), key=lambda ks: ks[::-1])
     mults = []
-    assert kernels.walk_partitions(m, n, b, lambda lams: mults.append(tuple(lams))) == b
+
+    def partition_run(lams, rem):  # lambda_1 = rem//m..0, lambda_0 the rest
+        mults.extend((rem - m * lam, lam, *lams[2:]) for lam in range(rem // m, -1, -1))
+
+    assert kernels.walk_partitions(m, n, b, partition_run) == b
     assert all(sum(lam * m**t for t, lam in enumerate(lams)) == n for lams in mults)
     assert mults == sorted(set(mults), key=lambda lams: lams[::-1], reverse=True)
 
@@ -181,13 +190,24 @@ RUN_CASES = [(m, n) for m in range(2, 7) for n in range(151)] + [(10, 1234), (10
 
 
 def test_partition_walk_leaves_come_in_innermost_runs():
-    # a run starts exactly at lambda_0 < m, once per (lambda_2, ..., lambda_j);
-    # inside it each leaf is the one before with lambda_1 - 1 and lambda_0 + m,
-    # so beta_1 + lambda_1 stays fixed over the run (the table relies on this)
+    # one run per (lambda_2, ..., lambda_j), in the walk's order, starting
+    # exactly at lambda_0 < m; inside it each leaf is the one before with
+    # lambda_1 - 1 and lambda_0 + m, so beta_1 + lambda_1 stays fixed over
+    # the run (the table relies on this)
     for m, n in RUN_CASES:
-        leaves = []
-        kernels.walk_partitions(m, n, 10**6, lambda lams: leaves.append(tuple(lams)))
+        runs, leaves = [], []
+
+        def visit(lams, rem):
+            runs.append(tuple(lams[2:]))
+            if len(lams) == 1:  # j = 0: the one leaf lambda_0 = rem
+                leaves.append((rem,))
+            else:
+                leaves.extend((rem - m * lam, lam, *lams[2:]) for lam in range(rem // m, -1, -1))
+
+        assert kernels.walk_partitions(m, n, 10**6, visit) == len(leaves), (m, n)
+        assert all(sum(lam * m**t for t, lam in enumerate(lams)) == n for lams in leaves)
         starts = [lams[2:] for lams in leaves if lams[0] < m]
+        assert starts == runs, (m, n)
         assert leaves[0][0] < m, (m, n)
         for before, lams in zip(leaves, leaves[1:]):
             assert lams[0] < m or lams == (before[0] + m, before[1] - 1, *before[2:]), (m, n)

@@ -13,9 +13,9 @@ from mpart.partitions import (
     enumerate_b,
     enumerate_c,
     is_gap_free,
-    materialise,
     weight,
 )
+from walks import materialise
 
 # the five 3-ary partitions of 10 (multiplicities, lowest exponent first):
 # 9+1, 3+3+3+1, 3+3+1+1+1+1, 3+1*7, 1*10

@@ -70,7 +70,7 @@ def test_consecutive_digits_are_the_digits_of_each_shifted_n():
         for shift in range(4):
             for ns in (range(0, 3 * m), range(1, 3 * m), range(m**3 - 2 * m, m**3 + 2 * m)):
                 before = None
-                for n, digits, i in consecutive_digits(m, ns, shift):
+                for n, (digits, i) in zip(ns, consecutive_digits(m, ns, shift)):
                     expected = to_base(m, m**shift * n).digits
                     assert tuple(digits) == expected, (m, shift, n)
                     if before is None:

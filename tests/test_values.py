@@ -1,7 +1,8 @@
 """The value types behave as frozen records of their fields: they compare
 and hash by class and field tuple, print as ``Name(field=value, ...)``,
 refuse assignment and deletion, build from keywords, and round-trip
-through pickle and copy."""
+through pickle and copy.  Every object the library builds unchecked equals
+its checked construction."""
 
 import copy
 import pickle
@@ -9,11 +10,12 @@ import types
 
 import pytest
 
-from mpart.bijection import BetaSeq
+from mpart import cli
+from mpart.bijection import BetaSeq, enumerate_members
 from mpart.congruence import Residue
-from mpart.partitions import MaryPartition
+from mpart.partitions import MaryPartition, enumerate_b, enumerate_c
 from mpart.polysum import IntPolynomial
-from mpart.radix import BaseRepr
+from mpart.radix import BaseRepr, to_base
 
 # class -> (fields in declaration order, exact repr)
 VALUES = {
@@ -67,6 +69,8 @@ def test_keyword_and_positional_construction_agree(cls):
     fields, _ = VALUES[cls]
     x = cls(**fields)
     assert x == cls(*fields.values())
+    unchecked = cls.unchecked(*fields.values())  # fields in __slots__ order
+    assert type(unchecked) is cls and unchecked == x
     assert tuple(getattr(x, name) for name in fields) == tuple(fields.values())
 
 
@@ -76,3 +80,31 @@ def test_pickle_and_copy_round_trip(cls):
     x = cls(**fields)
     for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
         assert type(clone) is cls and clone == x and repr(clone) == text
+
+
+# bases 2..7 over n <= 150, which takes in every n < m, and two points with
+# long innermost runs: the last one's 100,002 partitions are 2 runs
+UNCHECKED_GRID = [(m, n) for m in range(2, 8) for n in range(1, 151)] + [
+    (10, 1234), (10**5, 10**10 + 7)]
+
+
+def _same(built, checked):
+    # checked is built from built's own fields, so a list field would still
+    # compare equal; hashing built refuses it
+    assert built == checked
+    hash(tuple(built))
+
+
+def test_objects_built_unchecked_equal_their_checked_construction():
+    # the checked constructors raise on a non-canonical form (a zero top
+    # multiplicity, a sequence of the wrong length, a digit out of range)
+    for m, n in UNCHECKED_GRID:
+        for parts in (enumerate_b(m, n), enumerate_c(m, n)):
+            _same(parts, [MaryPartition(m, p.mults) for p in parts])
+        members = enumerate_members(m, n)
+        _same(members, [BetaSeq(m, n, b.betas) for b in members])
+    ns = {m: range(151) for m in range(2, 8)}
+    ns.update({m: range(n - 2, n + 3) for m, n in UNCHECKED_GRID[-2:]})
+    for m, block in ns.items():
+        for reprs in ([to_base(m, n) for n in block], list(cli._reprs(m, block))):
+            _same(reprs, [BaseRepr(m, r.digits) for r in reprs])
