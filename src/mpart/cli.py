@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 from . import bijection, congruence, counting, kernels, partitions, radix
 from .bijection import BetaSeq, enumerate_members, phi, phi_inv
-from .budgets import BudgetExceeded
+from .budgets import ENUM_BUDGET_ENV, LOOP_BUDGET_ENV, BudgetExceeded
 from .partitions import MaryPartition
 from .radix import BaseRepr, to_base
 
@@ -234,9 +234,12 @@ class VerifyReport:
 
 def _compare_routes(report: VerifyReport, m: int, n: int, routes) -> None:
     """Check every answering route against the first one at (m, n); each
-    refusal counts as a skip."""
+    refusal counts as a skip.  A point that one route alone answers is refused."""
     report.cases_run += 1
     answers, refused = _answers(routes, m, n)
+    if len(answers) < 2:
+        raise BudgetExceeded(f"{report.suite} at base {m}, n={n}: only {answers[0][0]} answered; "
+                             f"raise {ENUM_BUDGET_ENV} or {LOOP_BUDGET_ENV}")
     report.skipped += refused
     (_, expected), *others = answers
     for method, value in others:

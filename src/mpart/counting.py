@@ -21,8 +21,9 @@ residue route (``count_b_residues``, ``count_c_residues``), which runs the
 same level loop bottom-up to the top with every level reduced mod M; every
 congruence check takes it, a single n as a one-point block.  The route
 answers a block of consecutive n at once: x = m**shift * n has its digits
-carried in place from place shift, each n redoes only the levels below the
-carry, and a carry into the top digit starts afresh.  Mod m a reduced
+carried in place from place shift, ``kernels.carried_chains`` renews the
+chain's terms at the levels the carry reaches, each n redoes only those
+levels, and a carry into the top digit starts afresh.  Mod m a reduced
 level is one residue, so a verify sweep meets the same few levels over and
 over: the reduced step is memoised (``_residue_level``, keyed by the base,
 the modulus, the level's coefficients and the offset, an LRU cache of the
@@ -95,7 +96,7 @@ def _chain_total(m: int, offsets, strata) -> int:
     """The vector count of a ``kernels.chain``, collapsed level by level:
     h_0 = 1, S_t is the prefix sum of h_{t-1}, and h_t(k) = S_t(offsets[t]
     + m*k), each level one prefix sum plus one affine substitution in the
-    binomial basis; stratum (r, top) adds S_r(top), S_0 = 1 and S_r(-1) = 0.
+    binomial basis; stratum r adds S_r(strata[r]), S_0 = 1 and S_r(-1) = 0.
 
     Every level map and every stratum's evaluation is linear in the
     coefficients, so the loop meets in the middle, at a split level t*.
@@ -109,20 +110,19 @@ def _chain_total(m: int, offsets, strata) -> int:
     entries with depth - t, so t* = round(0.6 * depth) and each half runs
     where its numbers are small.  A count mod M takes the residue route
     instead (``_residue_block``), whose reduced levels stay small to the top."""
-    tops = dict(strata)
-    depth = max(tops)
+    depth = max(strata)
     split = (6 * depth + 5) // 10  # round(0.6 * depth)
-    total = 1 if 0 in tops else 0
+    total = 1 if 0 in strata else 0
     s = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
     for t in range(1, split + 1):
-        if t in tops:
-            total += s.eval(tops[t])
+        if t in strata:
+            total += s.eval(strata[t])
         if t < split:
             s = s.compose_affine(m, offsets[t]).prefix_sum()
     w = [0] * (depth + 1)
     for t in range(depth, split, -1):
-        if t in tops:
-            w = list(map(add, w, evaluation_covector(tops[t], t)))
+        if t in strata:
+            w = list(map(add, w, evaluation_covector(strata[t], t)))
         w = compose_affine_transposed(prefix_sum_transposed(w), m, offsets[t - 1])
     return total + sum(map(mul, w, s.coeffs))
 
@@ -152,53 +152,35 @@ def _residue_block(m: int, ns: range, modulus: int, shift: int, gapfree: bool):
     runs = consecutive_digits(m, ns, shift)
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
-    return _block_walk(m, ns, runs, modulus, shift, gapfree)
+    return _block_walk(m, kernels.carried_chains(m, runs, gapfree), modulus, shift, len(ns) > 1)
 
 
-def _block_walk(m: int, ns: range, runs, modulus: int, shift: int, gapfree: bool):
-    """The walk behind ``_residue_block``, over x's digits alpha, carried in
-    place from place ``shift`` up (``consecutive_digits``).  Level t's terms
-    read x's digits from t - 1 up (``kernels.gapfree_level``; for b the
-    offset alpha_t and the top digit), so a carry through digit i gives new
-    terms to levels 1..i + 1 only, and c's tops come from the quotients
-    x // m**t, each below the carry rebuilt from the one above it.  A carry
-    into the top digit starts the walk afresh, the only time b's one stratum
-    changes; x = 0, the one digit 0, is such a start, and stratum 0 adds 1.
-    Three mechanisms stay, each timed against a copy without it on a 2-vCPU
+def _block_walk(m: int, chains, modulus: int, shift: int, fill: bool):
+    """The walk behind ``_residue_block`` over ``kernels.carried_chains``;
+    three mechanisms stay, each timed against a copy without it on a 2-vCPU
     host.  Level t's dict maps the reduced S_t to what levels >= t add until
-    a carry reaches digit t - 1; the climb from S_1 stops at the first level
-    above the new terms whose dict holds its S_t and fills the dicts on its
-    path (without them the sweep op's median rose from 1.8-2.0 ms to
-    2.4-2.8).  The level step's memo is shared and bounded
-    (``_residue_level``; without it 1.3-1.9 ms became 3.8-5.3, and a memo
-    per block, missing the steps churchhouse's one-point blocks share
-    across n, raised the 90th percentile from 7.3-8.3 ms to 8.5-12.0).  A
-    one-point block fills no dicts: filling them took churchhouse at --n
-    201 --k 1000 from 6.2 s and 24.7 MiB peak RSS to 8.2 s and 80.4."""
-    fill = len(ns) > 1  # a later n reads the dicts this one fills
+    a carry renews level t; the climb from S_1 stops at the first level
+    above low whose dict holds its S_t and fills the dicts on its path
+    (without them the sweep op's median rose from 1.8-2.0 ms to 2.4-2.8).
+    The level step's memo is shared and bounded (``_residue_level``;
+    without it 1.3-1.9 ms became 3.8-5.3, and a memo per block, missing the
+    steps churchhouse's one-point blocks share across n, raised the 90th
+    percentile from 7.3-8.3 ms to 8.5-12.0).  A one-point block, not
+    ``fill``, fills no dicts: filling them took churchhouse at --n 201 --k
+    1000 from 6.2 s and 24.7 MiB peak RSS to 8.2 s and 80.4."""
     unit = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
-    for alpha, i in runs:
-        if i == len(alpha) - 1:  # a carry into the top digit: start afresh
-            depth = i
+    depth = -1
+    for offsets, strata, low in chains:
+        if low > depth:  # only a top-digit carry renews a level past the last depth
+            depth = len(offsets) - 1
             levels = [{} for _ in range(depth + 1)] if fill else None
-            if gapfree:
-                quot = [0] * (i + 2)  # quot[t] = x // m**t
-                offsets, tops = [0] * (depth + 1), [0] * (depth + 1)
-            else:  # b's offsets are x's digits, and its one stratum sits at the top
-                offsets, tops = alpha, [None] * (depth + 1)
-                tops[depth] = alpha[depth]
-        else:
-            for level in levels[1:i + 2]:
+            zero = 0 in strata  # stratum 0 adds 1
+        else:  # levels 1..shift + 1 are never filled
+            for level in levels[shift + 2:low + 1]:
                 level.clear()
-        low = i + 1  # levels 1..low have new terms
-        if gapfree:
-            for t in range(i, 0, -1):
-                quot[t] = quot[t + 1] * m + alpha[t]
-            for t in range(1, min(low, depth) + 1):
-                offsets[t], tops[t] = kernels.gapfree_level(m, alpha, t, quot[t])
         s = unit
         path = []
-        acc = tops[0] is not None  # what levels 0..t - 1 add: stratum 0 adds 1
+        acc = zero  # what levels 0..t - 1 add
         for t in range(1, depth + 1):
             if t > low:
                 tail = levels[t].get(s.coeffs)
@@ -206,8 +188,8 @@ def _block_walk(m: int, ns: range, runs, modulus: int, shift: int, gapfree: bool
                     break
             if fill and t > shift + 1:  # levels 1..shift + 1 change at every n
                 path.append((levels[t], s.coeffs, acc))
-            if tops[t] is not None:
-                acc += s.eval(tops[t])
+            if t in strata:
+                acc += s.eval(strata[t])
             if t < depth:
                 s = _residue_level(m, modulus, s.coeffs, offsets[t])
         else:

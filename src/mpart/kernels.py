@@ -33,10 +33,10 @@ length, or the rest rem that lambda_1 and lambda_0 split.  The visitor
 fills the innermost entries itself (k_1, or lambda_1 and lambda_0), so the
 walker makes no call per leaf.
 
-The two nested sums share one chained recursion over the chain that
-``chain`` derives: b's single chain, or the gap-free strata counted from
-zero, which puts them in the same shape; stratum 0 has no loop variable,
-so its one vector, the empty one, adds 1.
+The chained bounds are derived here alone, by ``carried_chains`` and its
+one-point case ``chain``.  The two nested sums share one prologue and one
+recursion over the chain: b's, or c's strata counted from zero; stratum 0
+has no loop variable, so its one vector, the empty one, adds 1.
 
 The two partition walks share one multiplicity recursion: the gap-free
 walk runs it once per stratum, largest part first, each stratum with the
@@ -50,51 +50,72 @@ from .budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, shown
 from .radix import to_base
 
 
-def chain(m: int, n: int, gapfree: bool) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """The chained inequalities whose solutions count b(m, n), or c(m, n)
-    when ``gapfree``, as (offsets, strata): the integer vectors with, for one
-    stratum (r, top), 0 <= k_r <= top and 0 <= k_t <= offsets[t] +
-    m*k_{t+1} for t = r-1..1.  Strata come largest r first.
+def chain(m: int, n: int, gapfree: bool):
+    """The chain of b(m, n), or c(m, n) when ``gapfree``, as (offsets,
+    strata), the one-point case of ``carried_chains``: stratum r counts the
+    integer vectors with 0 <= k_r <= strata[r] and 0 <= k_t <= offsets[t] + m*k_{t+1}, t < r."""
+    offsets, strata, _ = _start(m, to_base(m, n).digits, gapfree)
+    return offsets, strata
 
-    b has the one stratum (j, alpha_j) and offsets alpha_t, so n < m has
-    stratum 0 alone, whose one vector is the empty one.  c has a stratum
-    per largest part m**r, r = j..0, with ``gapfree_level``'s terms;
-    stratum 0, whose top is unread, is the all-ones partition.
-    """
-    r = to_base(m, n)
-    alpha = r.digits
+
+def carried_chains(m: int, runs, gapfree: bool):
+    """(offsets, strata, low), the chain of b(m, x), or of c(m, x) when
+    ``gapfree``, at each (digits, i) of ``runs`` (``consecutive_digits``):
+    x's digits alpha and the highest digit i changed since the x before
+    (the top one, depth, for the first x).  offsets has an entry per level
+    0..depth, strata is {r: top}, largest r first, and levels 1..low have
+    new terms; both are rewritten in place, so a caller that keeps them
+    copies them, except at a carry into the top digit, which starts afresh.
+    Level t reads alpha_{t-1} and the digits above, so low = i + 1.
+
+    b: offsets alpha and the one stratum {depth: alpha_depth}, stratum 0
+    (the empty vector) for x < m.  c: a stratum per largest part m**r, r =
+    depth..0, stratum 0 (top unread) the all-ones partition.  In stratum r,
+    k_r runs over [chi_r, x//m**r - 1] and k_t over [chi_t, alpha_t - 1 +
+    m*k_{t+1}], chi_t = 1 where alpha_{t-1} = 0, else 0, for t >= 1.
+    Counted from zero, the top x//m**t - 1 - chi_t and the offset a_t =
+    alpha_t - 1 - chi_t + m*chi_{t+1} are >= -1 (alpha_t = 0 forces
+    chi_{t+1} = 1), so an empty range has length 0."""
+    for alpha, i in runs:
+        if i == len(alpha) - 1:
+            offsets, strata, quot = _start(m, alpha, gapfree)
+        elif gapfree:
+            _renew(m, alpha, i + 1, offsets, strata, quot)
+        yield offsets, strata, i + 1
+
+
+def _start(m: int, alpha, gapfree: bool):
+    """x's chain built afresh from its digits alpha, and c's quotients."""
+    depth = len(alpha) - 1
     if not gapfree:
-        return alpha, ((r.j, alpha[r.j]),)
-    terms = []
-    for t in range(r.j + 1):  # a_0 and top_0 are unread
-        terms.append(gapfree_level(m, alpha, t, n))
-        n //= m
-    return tuple(a for a, _ in terms[:r.j]), tuple((s, terms[s][1]) for s in range(r.j, -1, -1))
+        return alpha, {depth: alpha[depth]}, None
+    terms = [0] * (depth + 1), dict.fromkeys(range(depth, -1, -1), 0), [0] * (depth + 2)
+    _renew(m, alpha, depth, *terms)
+    return terms
 
 
-def gapfree_level(m: int, alpha, t: int, quotient: int) -> tuple[int, int]:
-    """The gap-free chain's terms at level t of n, from its digits ``alpha``
-    and ``quotient`` = n // m**t: the offset a_t and the top of stratum t.
-
-    In stratum r, k_r runs over [chi_r, n//m**r - 1] and k_t over [chi_t,
-    alpha_t - 1 + m*k_{t+1}], with chi_t = 1 where alpha_{t-1} = 0, else 0
-    (``chi_vector``; chi_0 = 0).  Counted from zero, k_t = k'_t + chi_t,
-    the top becomes n//m**t - 1 - chi_t and the offset a_t = alpha_t - 1 -
-    chi_t + m*chi_{t+1}.  Every bound is >= -1, so an empty range has length
-    0: alpha_t = 0 forces chi_{t+1} = 1, so a_t >= -1, and n//m**t >= 1.
-    The terms read alpha_{t-1}, alpha_t and the digits above, no lower one.
-    """
-    chi = t > 0 and alpha[t - 1] == 0
-    return alpha[t] - 1 - chi + m * (alpha[t] == 0), quotient - 1 - chi
+def _renew(m: int, alpha, low: int, offsets, strata, quot) -> None:
+    """c's terms at levels min(low, depth)..1, in place; quot[t] = x // m**t."""
+    for t in range(min(low, len(alpha) - 1), 0, -1):
+        quot[t] = quot[t + 1] * m + alpha[t]
+        chi = alpha[t - 1] == 0
+        offsets[t] = alpha[t] - 1 - chi + m * (alpha[t] == 0)
+        strata[t] = quot[t] - 1 - chi
 
 
-def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, visit=None) -> int:
-    """Leaf count of the chained loops of ``chain``, raising
-    LoopBudgetExceeded(refusal) once it passes cap; leaves come in ascending
-    lexicographic order on (k_r, ..., k_1).  visit(ks, count) sees each
-    run, k_1 = 0..count-1 with ks[1:] set; stratum 0's run is its one leaf,
-    which reads no k.  Without a visitor, the k_2 loop is one range over the
+def _chain_walk(m: int, n: int, gapfree: bool, cap: int, visit=None) -> int:
+    """Leaf count of the chained loops of ``chain(m, n, gapfree)`` once (m,
+    n) passes ``to_base`` and its floor, n//m + 1 or for c (n-1)//m + 1, is
+    within cap, raising LoopBudgetExceeded once the count passes cap; leaves
+    come in ascending lexicographic order on (k_r, ..., k_1).  visit(ks,
+    count) sees each run, k_1 = 0..count-1 with ks[1:] set; stratum 0's run
+    is its one leaf.  Without a visitor, the k_2 loop is one range over the
     k_1 range lengths offset + m*k_2 + 1; its bound -1 leaves it empty."""
+    to_base(m, n)
+    refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
+    if (n - gapfree) // m + 1 > cap:
+        raise LoopBudgetExceeded(refusal)
+    offsets, strata = chain(m, n, gapfree)
     ks = [0] * len(offsets)
     steps = 0
 
@@ -122,7 +143,7 @@ def _chain_walk(m: int, offsets, strata, cap: int, refusal: str, visit=None) -> 
             total += walk(t - 1, offset + m * k)
         return total
 
-    return sum(walk(r, top) for r, top in strata)
+    return sum(walk(r, top) for r, top in strata.items())
 
 
 def nested_sum_b(m: int, n: int, cap: int, visit=None) -> int:
@@ -130,21 +151,13 @@ def nested_sum_b(m: int, n: int, cap: int, visit=None) -> int:
     bounds alpha_j and alpha_t + m*k_{t+1} over the base-m digits of n.
     ``visit`` sees ks with j + 1 entries, of which ks[:j] are the loop's;
     for n < m its one run has count 1 and no loop variable."""
-    to_base(m, n)
-    refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
-    if n // m + 1 > cap:
-        raise LoopBudgetExceeded(refusal)
-    return _chain_walk(m, *chain(m, n, gapfree=False), cap, refusal, visit)
+    return _chain_walk(m, n, False, cap, visit)
 
 
 def nested_sum_c(m: int, n: int, cap: int) -> int:
     """c(m, n) as the leaf count of the gap-free strata r = j..0, walked
     from zero as ``chain`` reindexes them; stratum 0 is the all-ones one."""
-    to_base(m, n)
-    refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
-    if (n - 1) // m + 1 > cap:
-        raise LoopBudgetExceeded(refusal)
-    return _chain_walk(m, *chain(m, n, gapfree=True), cap, refusal)
+    return _chain_walk(m, n, True, cap)
 
 
 def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, visit=None) -> int:

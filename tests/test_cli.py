@@ -655,6 +655,23 @@ def test_oracle_c_falls_back_to_poly_over_the_enumeration_budget(capsys, monkeyp
     assert (code, out, err) == (1, "\n".join(lines + [json.dumps(summary)]) + "\n", "")
 
 
+
+ONE_ROUTE_GRID = ["verify", "--suite", "oracle-c", "--base-range", "2..2",
+                  "--n-range", "100000..100004"]
+ONE_ROUTE_REFUSAL = ("error: oracle-c at base 2, n=100000: only poly answered; "
+                     "raise MPART_ENUM_BUDGET or MPART_LOOP_BUDGET\n")
+
+
+def test_oracle_c_refuses_a_point_where_poly_alone_answers(capsys):
+    # above both budgets the enumeration and nested refuse, and poly checked
+    # against nothing would pass
+    assert run(capsys, *ONE_ROUTE_GRID) == (2, "", ONE_ROUTE_REFUSAL)
+
+
+def test_oracle_c_refuses_there_even_with_a_wrong_poly(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "count_c_poly", _quotient_count)
+    assert run(capsys, *ONE_ROUTE_GRID) == (2, "", ONE_ROUTE_REFUSAL)
+
 USAGE_ERRORS = {
     "suite": (
         ["verify", "--suite", "nope", "--n-range", "1..2"],

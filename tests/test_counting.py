@@ -175,12 +175,11 @@ def _level_loop_residue(m: int, x: int, modulus: int, gapfree: bool) -> int:
     the bottom up, each substituted, reduced and prefix-summed afresh, with
     no memo and nothing shared between points."""
     offsets, strata = chain(m, x, gapfree)
-    tops = dict(strata)
-    depth = max(tops, default=0)
-    s, total = polysum.IntPolynomial((1, 1)), int(0 in tops)  # stratum 0 adds 1
+    depth = max(strata, default=0)
+    s, total = polysum.IntPolynomial((1, 1)), int(0 in strata)  # stratum 0 adds 1
     for t in range(1, depth + 1):
-        if t in tops:
-            total += s.eval(tops[t])
+        if t in strata:
+            total += s.eval(strata[t])
         if t < depth:
             h = s.compose_affine(m, offsets[t])
             s = polysum.IntPolynomial.from_coeffs([c % modulus for c in h.coeffs]).prefix_sum()
@@ -264,7 +263,7 @@ def _has_top_offset_minus_one(m: int, n: int) -> bool:
     """Whether c's chain meets an offset -1 above the split, where the
     covector undoes a unit shift."""
     offsets, strata = chain(m, n, gapfree=True)
-    depth = max((r for r, _ in strata), default=0)
+    depth = max(strata, default=0)
     return -1 in offsets[(6 * depth + 5) // 10:depth]
 
 
@@ -316,7 +315,7 @@ def test_level_loop_steps_once_per_level_below_its_split(monkeypatch):
     for m, n in ((2, 2**40 + 12345), (3, 3**25 + 5), (10, 10**12 + 7), (4, 20), (5, 7)):
         for gapfree, count, residue in ((False, count_b_poly, _residue_b),
                                         (True, count_c_poly, _residue_c)):
-            depth = max(r for r, _ in chain(m, n, gapfree)[1])
+            depth = max(chain(m, n, gapfree)[1])
             calls.update(residue=0, compose=0)
             residue(m, n, m**3)
             assert calls["residue"] == depth - 1, (m, n, gapfree)
@@ -512,7 +511,8 @@ def test_prefix_shift_validity_holds_everywhere():
             r = to_base(m, n)
             assert _prefix_shift_valid(m, r.digits, chi_vector(r))
             offsets, strata = chain(m, n, gapfree=True)
-            assert min((*offsets, *(top for _, top in strata)), default=-1) >= -1
+            depth = max(strata)
+            assert min((*offsets[:depth], *strata.values()), default=-1) >= -1
 
 
 def test_argument_validation():

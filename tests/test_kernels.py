@@ -11,7 +11,7 @@ from mpart import bijection, budgets, counting, kernels, partitions
 from mpart.bijection import phi
 from mpart.budgets import EnumerationBudgetExceeded, LoopBudgetExceeded, TableBudgetExceeded
 from mpart.counting import count_c_poly, recurrence_table
-from mpart.radix import to_base
+from mpart.radix import consecutive_digits, to_base
 
 
 def test_python_walker_leaf_counts_match_recurrence():
@@ -140,8 +140,39 @@ def test_pair_cases_reach_the_empty_ranges():
     chains = [kernels.chain(m, n, gapfree=True) for m, n in PAIR_CASES]
     assert any(offsets[1] == -1 for offsets, _ in chains)
     assert any(offsets[2] == -1 for offsets, _ in chains)
-    assert any(top == -1 for _, strata in chains for _, top in strata)
+    assert any(top == -1 for _, strata in chains for top in strata.values())
 
+
+
+def _highest_changed_digit(before, after) -> int:
+    """The index of the highest digit that differs, the top one where the
+    digit count differs or there is no before."""
+    if before is None or len(before) != len(after):
+        return len(after) - 1
+    return max(t for t, (a, b) in enumerate(zip(before, after)) if a != b)
+
+
+@pytest.mark.parametrize("gapfree", (False, True))
+@pytest.mark.parametrize("m", (2, 3, 4, 5, 6, 7, 10))
+def test_carried_chains_equal_the_chain_of_each_point(m, gapfree):
+    # the carry renews levels 1..low, c's tops through the quotients; at
+    # every n the carried chain must be the one-point chain of m**shift * n,
+    # and low one above the highest digit that changed, over blocks from 0
+    # (every top-digit carry up to m**2) and across m**k - 1 -> m**k
+    blocks = [range(m * m + 2)] + [range(m**k - m - 1, m**k + m + 1) for k in range(2, 5)]
+    for shift in range(4):
+        for ns in blocks:
+            chains = kernels.carried_chains(m, consecutive_digits(m, ns, shift), gapfree)
+            before = None
+            for n, (offsets, strata, low) in zip(ns, chains, strict=True):
+                x = m**shift * n
+                want_offsets, want_strata = kernels.chain(m, x, gapfree)
+                depth = max(want_strata)
+                assert list(strata.items()) == list(want_strata.items()), (shift, n)
+                assert list(offsets[1:depth]) == list(want_offsets[1:depth]), (shift, n)
+                digits = to_base(m, x).digits
+                assert low == _highest_changed_digit(before, digits) + 1, (shift, n)
+                before = digits
 
 @pytest.mark.parametrize("m, n", PAIR_CASES)
 def test_batched_pair_counts_and_refuses_exactly(m, n):
