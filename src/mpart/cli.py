@@ -5,7 +5,10 @@ bulk verification sweeps.
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 resource error, and 2 also when the output pipe closes early.  Counts are
 always printed in full decimal; verification failures are emitted as JSON
-lines with big integers as decimal strings.
+lines with big integers as decimal strings.  A verify suite yields one
+batch of cases, skips and failures per base (per k for churchhouse), and
+nothing is printed until the whole grid has run, so a refusal anywhere
+leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 from contextlib import contextmanager
 
 from . import bijection, congruence, counting, kernels, partitions, radix
-from .bijection import BetaSeq, enumerate_members, phi, phi_inv
+from .bijection import BetaSeq, phi, phi_inv
 from .budgets import ENUM_BUDGET_ENV, LOOP_BUDGET_ENV, BudgetExceeded
 from .partitions import MaryPartition
 from .radix import BaseRepr, to_base
@@ -122,9 +125,7 @@ def cmd_count(args) -> int:
         print(answers[0][1])
         return 0
     if args.method not in routes:
-        print(f"error: method {args.method!r} does not apply to kind {args.kind!r}",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"method {args.method!r} does not apply to kind {args.kind!r}")
     try:
         print(routes[args.method](args.base, args.n))
     except (BudgetExceeded, RecursionError) as exc:
@@ -219,35 +220,24 @@ def cmd_congruence(args) -> int:
     return 0 if verdict == "PASS" else 1
 
 
-class VerifyReport:
-    def __init__(self, suite: str) -> None:
-        self.suite = suite
-        self.cases_run = self.skipped = 0
-        self.failures: list[dict] = []
-
-    def fail(self, m: int, n: int, expected, actual, **extra) -> None:
-        record = {"m": m, "n": n, "suite": self.suite,
-                  "expected": str(expected), "actual": str(actual)}
-        record.update(extra)
-        self.failures.append(record)
-
-
-def _compare_routes(report: VerifyReport, m: int, n: int, routes) -> None:
-    """Check every answering route against the first one at (m, n); each
-    refusal counts as a skip.  A point that one route alone answers is refused."""
-    report.cases_run += 1
-    answers, refused = _answers(routes, m, n)
-    if len(answers) < 2:
-        raise BudgetExceeded(f"{report.suite} at base {m}, n={n}: only {answers[0][0]} answered; "
-                             f"raise {ENUM_BUDGET_ENV} or {LOOP_BUDGET_ENV}")
-    report.skipped += refused
-    (_, expected), *others = answers
-    for method, value in others:
-        if value != expected:
-            report.fail(m, n, expected, value, method=method)
+def _compare_routes(suite: str, m: int, ns: range, routes):
+    """One batch: every answering route checked against the first one at
+    each n of ``ns`` at base m, each refusal a skip.  A point that one route
+    alone answers is refused."""
+    skips, failures = 0, []
+    for n in ns:
+        answers, refused = _answers(routes, m, n)
+        if len(answers) < 2:
+            raise BudgetExceeded(f"{suite} at base {m}, n={n}: only {answers[0][0]} answered; "
+                                 f"raise {ENUM_BUDGET_ENV} or {LOOP_BUDGET_ENV}")
+        skips += refused
+        (_, expected), *others = answers
+        failures += [(m, n, expected, value, {"method": method})
+                     for method, value in others if value != expected]
+    return len(ns), skips, failures
 
 
-def _verify_oracle_b(report: VerifyReport, args) -> None:
+def _verify_oracle_b(args):
     top = args.n_range.stop - 1
     for m in args.base_range:
         # the grid's first n before the tables, which index a negative n from their end
@@ -256,64 +246,63 @@ def _verify_oracle_b(report: VerifyReport, args) -> None:
         gf = counting.count_b_gf(m, top)
         routes = {"recurrence": lambda m, n: table[n], "gf": lambda m, n: gf[n],
                   "poly": B_ROUTES["poly"], "nested": B_ROUTES["nested"]}
-        for n in args.n_range:
-            _compare_routes(report, m, n, routes)
+        yield _compare_routes(args.suite, m, args.n_range, routes)
 
 
-def _verify_oracle_c(report: VerifyReport, args) -> None:
+def _verify_oracle_c(args):
     # the enumeration is the reference where it answers, else poly
     routes = {method: C_ROUTES[method] for method in ("enumerate", "poly", "nested")}
     for m in args.base_range:
-        for n in args.n_range:
-            _compare_routes(report, m, n, routes)
+        yield _compare_routes(args.suite, m, args.n_range, routes)
 
 
-def _verify_bijection(report: VerifyReport, args) -> None:
+def _verify_bijection(args):
     """Materialise both sides as objects, then run the carry recurrence and
     its inverse on their tuples: phi's image of each partition, and back."""
     carry_betas, carry_mults = bijection.carry_betas, bijection.carry_mults
     for m in args.base_range:
+        failures = []
         for n in args.n_range:
-            report.cases_run += 1
             parts = partitions.enumerate_b(m, n)
-            members = enumerate_members(m, n)
+            members = bijection.enumerate_members(m, n)
             if len(parts) != len(members):
-                report.fail(m, n, len(members), len(parts), method="cardinality")
+                failures.append((m, n, len(members), len(parts), {"method": "cardinality"}))
                 continue
             alpha = to_base(m, n).digits
             images = [carry_betas(m, alpha, p.mults) for p in parts]
             # descending partitions map to ascending sequences, so the
             # generation orders must line up element for element
             if images != [b.betas for b in members]:
-                report.fail(m, n, "image == member set", "mismatch", method="image")
+                failures.append((m, n, "image == member set", "mismatch", {"method": "image"}))
             bad = sum(1 for p, betas in zip(parts, images)
                       if carry_mults(m, alpha, betas) != p.mults)
             if bad:
-                report.fail(m, n, 0, bad, method="round-trip")
+                failures.append((m, n, 0, bad, {"method": "round-trip"}))
+        yield len(args.n_range), 0, failures
 
 
-def _verify_residues(report: VerifyReport, args) -> None:
-    residues = RESIDUES[report.suite]
+def _verify_residues(args):
+    residues, ns = RESIDUES[args.suite], args.n_range
     for m in args.base_range:
-        for n, (expected, actual) in zip(args.n_range, residues(m, args.n_range)):
-            report.cases_run += 1
-            if expected != actual:
-                report.fail(m, n, expected, actual)
+        yield len(ns), 0, [(m, n, expected, actual, {})
+                           for n, (expected, actual) in zip(ns, residues(m, ns))
+                           if expected != actual]
 
 
-def _verify_churchhouse(report: VerifyReport, args) -> None:
+def _verify_churchhouse(args):
     _check_churchhouse_bases(args.base_range)
     for k in args.k_range:
-        for n in args.n_range:
-            report.cases_run += 1
-            first, second = congruence.churchhouse_check(k, n)
-            if not first:
-                report.fail(2, n, "0", "nonzero", k=k, form="first")
-            if not second:
-                report.fail(2, n, "0", "nonzero", k=k, form="second")
+        yield len(args.n_range), 0, [
+            (2, n, "0", "nonzero", {"k": k, "form": form})
+            for n in args.n_range
+            for form, holds in zip(("first", "second"), congruence.churchhouse_check(k, n))
+            if not holds]
 
 
-# suite -> runner over the grid, in the order usage lists them
+# suite -> runner over the grid, in the order usage lists them.  A runner
+# yields one batch (cases, skips, failures) per base (per k for
+# churchhouse), each failure (m, n, expected, actual, extra fields) in grid
+# order; cmd_verify alone counts, builds the records and prints.
 SUITES = {
     "oracle-b": _verify_oracle_b,
     "oracle-c": _verify_oracle_c,
@@ -327,14 +316,18 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    report = VerifyReport(args.suite)
-    SUITES[args.suite](report, args)
-    for failure in report.failures:
-        print(json.dumps(failure))
-    summary = {"suite": report.suite, "cases_run": report.cases_run,
-               "failures": len(report.failures), "skipped": report.skipped}
-    print(json.dumps(summary))
-    return 1 if report.failures else 0
+    cases = skipped = 0
+    failures = []
+    for batch_cases, batch_skips, batch_failures in SUITES[args.suite](args):
+        cases += batch_cases
+        skipped += batch_skips
+        failures += batch_failures
+    for m, n, expected, actual, extra in failures:
+        print(json.dumps({"m": m, "n": n, "suite": args.suite,
+                          "expected": str(expected), "actual": str(actual), **extra}))
+    print(json.dumps({"suite": args.suite, "cases_run": cases,
+                      "failures": len(failures), "skipped": skipped}))
+    return 1 if failures else 0
 
 
 @functools.cache

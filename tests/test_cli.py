@@ -480,21 +480,26 @@ def _all_ones(m, alpha, betas):
     return (sum(d * m**t for t, d in enumerate(alpha)),)
 
 
-def _failure_lines(suite, records, cases, **extra):
+def _failure_lines(suite, records, cases, *, skipped=0, **extra):
     """The failure lines and summary of a verify run; a record may end in a
     dict of its own extra fields, which follow ``extra``."""
     lines = [json.dumps({"m": m, "n": n, "suite": suite,
                          "expected": expected, "actual": actual, **extra, **dict(*own)})
              for m, n, expected, actual, *own in records]
-    summary = {"suite": suite, "cases_run": cases, "failures": len(records), "skipped": 0}
+    summary = {"suite": suite, "cases_run": cases, "failures": len(records),
+               "skipped": skipped}
     return "\n".join(lines + [json.dumps(summary)]) + "\n"
+
+
+# the members as enumerated, for the replacements below to call
+_enumerate_members = bijection.enumerate_members
 
 
 # (module, attribute, replacement, argv, stdout); every case exits 1.  The
 # pinned lines fix which side each check records as expected and actual, and
-# which record each check writes.  cli imports enumerate_members by name, so
-# it is replaced on cli; the bijection suite looks the carry recurrence and
-# its inverse up on bijection at call time.
+# which record each check writes.  The bijection suite looks the members,
+# the carry recurrence and its inverse up on bijection at call time, so
+# each is replaced there.
 WRONG_SIDE_CASES = {
     "verify-afs-b": (
         counting, "count_b_residues", _quotient_residues,
@@ -571,13 +576,13 @@ WRONG_SIDE_CASES = {
                        6, method="nested"),
     ),
     "verify-bijection-cardinality": (
-        cli, "enumerate_members", lambda m, n: bijection.enumerate_members(m, n)[1:],
+        bijection, "enumerate_members", lambda m, n: _enumerate_members(m, n)[1:],
         ["verify", "--suite", "bijection", "--base-range", "2..2", "--n-range", "1..4"],
         _failure_lines("bijection", [(2, 1, "0", "1"), (2, 2, "1", "2"), (2, 3, "1", "2"),
                                      (2, 4, "3", "4")], 4, method="cardinality"),
     ),
     "verify-bijection-image": (
-        cli, "enumerate_members", lambda m, n: bijection.enumerate_members(m, n)[::-1],
+        bijection, "enumerate_members", lambda m, n: _enumerate_members(m, n)[::-1],
         ["verify", "--suite", "bijection", "--base-range", "2..2", "--n-range", "1..4"],
         _failure_lines("bijection", [(2, n, "image == member set", "mismatch")
                                      for n in (2, 3, 4)], 4, method="image"),
@@ -613,6 +618,13 @@ WRONG_SIDE_CASES = {
                                        for n in (1, 2) for form in ("first", "second")],
                        2, k=1),
     ),
+    "verify-churchhouse-route-over-k": (
+        counting, "count_b_residues", _quotient_residues,
+        ["verify", "--suite", "churchhouse", "--n-range", "1..2", "--k-range", "1..2"],
+        _failure_lines("churchhouse", [(2, n, "0", "nonzero", {"k": k, "form": form})
+                                       for k in (1, 2) for n in (1, 2)
+                                       for form in ("first", "second")], 4),
+    ),
     "count-check-disagreement": (
         counting, "count_b_poly", _quotient_count,
         ["count", "--kind", "b", "--base", "3", "--n", "10", "--check"],
@@ -634,6 +646,40 @@ def test_table_prints_the_carry_recurrence_images(capsys, monkeypatch):
 def test_residue_failures_are_pinned(capsys, monkeypatch, case):
     module, name, wrong, argv, expected_out = WRONG_SIDE_CASES[case]
     monkeypatch.setattr(module, name, wrong)
+    assert run(capsys, *argv) == (1, expected_out, "")
+
+
+# (replacements, argv, stdout) with two checks wrong at once; every case
+# exits 1.  The pinned lines fix the order of several records at one n: the
+# order of the checks, within the grid's order.
+SEVERAL_RECORDS_CASES = {
+    "verify-bijection-image-and-round-trip": (
+        [(bijection, "enumerate_members", lambda m, n: _enumerate_members(m, n)[::-1]),
+         (bijection, "carry_mults", _all_ones)],
+        ["verify", "--suite", "bijection", "--base-range", "2..2", "--n-range", "1..4"],
+        _failure_lines("bijection", [
+            (2, n, *record) for n, round_trip in ((2, "1"), (3, "1"), (4, "3"))
+            for record in (("image == member set", "mismatch", {"method": "image"}),
+                           ("0", round_trip, {"method": "round-trip"}))], 4),
+    ),
+    "verify-oracle-b-gf-and-nested": (
+        [(counting, "count_b_gf", _one_more_each),
+         (counting, "count_b_nested", _quotient_count)],
+        ["verify", "--suite", "oracle-b", "--base-range", "2..3", "--n-range", "1..3"],
+        _failure_lines("oracle-b", [
+            (m, n, str(b), *record) for m, n, b in ((2, 1, 1), (2, 2, 2), (2, 3, 2),
+                                                      (3, 1, 1), (3, 2, 1), (3, 3, 2))
+            for record in ((str(b + 1), {"method": "gf"}),
+                           (str(n // m), {"method": "nested"}))], 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEVERAL_RECORDS_CASES))
+def test_several_records_keep_the_grid_order(capsys, monkeypatch, case):
+    replacements, argv, expected_out = SEVERAL_RECORDS_CASES[case]
+    for module, name, wrong in replacements:
+        monkeypatch.setattr(module, name, wrong)
     assert run(capsys, *argv) == (1, expected_out, "")
 
 
@@ -671,6 +717,23 @@ def test_oracle_c_refuses_a_point_where_poly_alone_answers(capsys):
 def test_oracle_c_refuses_there_even_with_a_wrong_poly(capsys, monkeypatch):
     monkeypatch.setattr(counting, "count_c_poly", _quotient_count)
     assert run(capsys, *ONE_ROUTE_GRID) == (2, "", ONE_ROUTE_REFUSAL)
+
+
+def test_oracle_c_refuses_after_failures_and_prints_none_of_them(capsys, monkeypatch):
+    # at base 3 the enumeration refuses from n = 121 and nested from n = 123
+    monkeypatch.setenv("MPART_ENUM_BUDGET", "500")
+    monkeypatch.setenv("MPART_LOOP_BUDGET", "700")
+    monkeypatch.setattr(counting, "count_c_poly", _quotient_count)
+    grid = ["verify", "--suite", "oracle-c", "--base-range", "3..3"]
+    records = [(3, 120, "490", "40", {"method": "poly"}),
+               (3, 121, "40", "527", {"method": "nested"}),
+               (3, 122, "40", "527", {"method": "nested"})]
+    assert run(capsys, *grid, "--n-range", "120..122") == (
+        1, _failure_lines("oracle-c", records, 3, skipped=2), "")
+    assert run(capsys, *grid, "--n-range", "120..125") == (
+        2, "", "error: oracle-c at base 3, n=123: only poly answered; "
+               "raise MPART_ENUM_BUDGET or MPART_LOOP_BUDGET\n")
+
 
 USAGE_ERRORS = {
     "suite": (
