@@ -2,7 +2,7 @@
 
 Every walker takes ``(m, n, cap)``, rejects m < 2 and n < 0 first, as
 ``to_base`` does, returns a nonnegative count, and raises the budget error
-of its family as soon as its step counter passes ``cap``:
+of its family as soon as its running count passes ``cap``:
 ``LoopBudgetExceeded`` for the nested sums, ``EnumerationBudgetExceeded``
 for the partition walks.  Integers are Python's own, so no input size
 overflows.
@@ -15,16 +15,19 @@ then iterates its loops literally at every level above the innermost and
 takes the innermost loop's count as its range length: the innermost sum
 of ones for the nested sums; for the partition walks, which recurse over part
 multiplicities, the choice of lambda_1, with lambda_0 taking the rest.
-Steps are counted one per leaf, so the step total equals the count.
+The running count is the step counter: each recursion threads it through
+its calls and returns it, one step per leaf.
 
 Only without a visitor, the level above the innermost is iterated in one
 ``sum(range(...))``, which runs its loop in C: it steps through every
 value of that level's variable and adds the innermost range lengths, with
-no closed form.  The steps grow by that sum before the one cap check;
-steps only grow, so a walk raises exactly when its total passes cap.
+no closed form.  An innermost run and that pair each compute only their
+count; one shared tail adds it to the running count, checks the cap, and
+then visits.  The count only grows, so a walk raises exactly when its
+total passes cap, without visiting the run that passed it.
 
 The walks are also the enumerations' only loops: given ``visit``, a walk
-iterates every level above the innermost in Python and, after its step
+iterates every level above the innermost in Python and, after its cap
 check, calls visit once per innermost run, a run being the leaves that
 share every loop variable above the innermost.  It passes the buffer in
 which those variables are rewritten in place, ``ks`` (ks[t-1] = k_t) or
@@ -107,43 +110,42 @@ def _chain_walk(m: int, n: int, gapfree: bool, cap: int, visit=None) -> int:
     """Leaf count of the chained loops of ``chain(m, n, gapfree)`` once (m,
     n) passes ``to_base`` and its floor, n//m + 1 or for c (n-1)//m + 1, is
     within cap, raising LoopBudgetExceeded once the count passes cap; leaves
-    come in ascending lexicographic order on (k_r, ..., k_1).  visit(ks,
-    count) sees each run, k_1 = 0..count-1 with ks[1:] set; stratum 0's run
-    is its one leaf.  Without a visitor, the k_2 loop is one range over the
-    k_1 range lengths offset + m*k_2 + 1; its bound -1 leaves it empty."""
+    come in ascending lexicographic order on (k_r, ..., k_1), the strata
+    threading one running count.  visit(ks, count) sees each run within cap,
+    k_1 = 0..count-1 with ks[1:] set; stratum 0's run is its one leaf.
+    Without a visitor, the k_2 loop is one range over the k_1 range lengths
+    offset + m*k_2 + 1; its bound -1 leaves it empty."""
     to_base(m, n)
     refusal = f"nested summation for base {shown(m)}, n={shown(n)} exceeded budget {shown(cap)}"
     if (n - gapfree) // m + 1 > cap:
         raise LoopBudgetExceeded(refusal)
     offsets, strata = chain(m, n, gapfree)
     ks = [0] * len(offsets)
-    steps = 0
 
-    def walk(t: int, bound: int) -> int:
-        nonlocal steps
+    def walk(t: int, bound: int, total: int) -> int:
         if t <= 1:
             # k_1's range, or at t = 0 stratum 0's one leaf
             count = bound + 1 if t else 1
-            steps += count
-            if steps > cap:
-                raise LoopBudgetExceeded(refusal)
-            if visit is not None:
-                visit(ks, count)
-            return count
-        offset = offsets[t - 1]
-        if t == 2 and visit is None:
-            total = sum(range(offset + 1, offset + 2 + m * bound, m))
-            steps += total
-            if steps > cap:
-                raise LoopBudgetExceeded(refusal)
+        elif t == 2 and visit is None:
+            offset = offsets[1]
+            count = sum(range(offset + 1, offset + 2 + m * bound, m))
+        else:
+            offset = offsets[t - 1]
+            for k in range(bound + 1):
+                ks[t - 1] = k
+                total = walk(t - 1, offset + m * k, total)
             return total
-        total = 0
-        for k in range(bound + 1):
-            ks[t - 1] = k
-            total += walk(t - 1, offset + m * k)
+        total += count
+        if total > cap:
+            raise LoopBudgetExceeded(refusal)
+        if visit is not None:
+            visit(ks, count)
         return total
 
-    return sum(walk(r, top) for r, top in strata.items())
+    total = 0
+    for r, top in strata.items():
+        total = walk(r, top, total)
+    return total
 
 
 def nested_sum_b(m: int, n: int, cap: int, visit=None) -> int:
@@ -164,40 +166,34 @@ def _multiplicity_walk(m: int, n: int, top: int, cap: int, refusal: str, visit=N
     """Number of partitions of n into parts m**0..m**top by the multiplicity
     recursion, raising EnumerationBudgetExceeded(refusal) once it passes cap;
     leaves come in descending lexicographic order on (lambda_top, ...,
-    lambda_0).  visit(mults, rem) sees each run with mults[2:] set: lambda_1
-    = rem//m down to 0 and lambda_0 = rem - m*lambda_1, or for top = 0 the
-    one leaf lambda_0 = rem.  Without a visitor, the lambda_2 loop is one
-    range over the lambda_1 range lengths rem//m - m*lambda_2 + 1."""
+    lambda_0).  visit(mults, rem) sees each run within cap, mults[2:] set:
+    lambda_1 = rem//m down to 0 and lambda_0 = rem - m*lambda_1, or for top =
+    0 the one leaf lambda_0 = rem.  Without a visitor, the lambda_2 loop is
+    one range over the lambda_1 range lengths rem//m - m*lambda_2 + 1."""
     powers = [m**t for t in range(top + 1)]
     mults = [0] * (top + 1)
-    steps = 0
 
-    def walk(t: int, rem: int) -> int:
-        nonlocal steps
+    def walk(t: int, rem: int, total: int) -> int:
         if t <= 1:
             # lambda_1 runs over rem//m..0 and lambda_0 takes the rest; t = 0
             # only for top = 0, whose one leaf is lambda_0 = rem
             count = rem // m + 1 if t else 1
-            steps += count
-            if steps > cap:
-                raise EnumerationBudgetExceeded(refusal)
-            if visit is not None:
-                visit(mults, rem)
-            return count
-        if t == 2 and visit is None:
-            total = sum(range(rem // m + 1, 0, -m))
-            steps += total
-            if steps > cap:
-                raise EnumerationBudgetExceeded(refusal)
+        elif t == 2 and visit is None:
+            count = sum(range(rem // m + 1, 0, -m))
+        else:
+            power = powers[t]
+            for lam in range(rem // power, -1, -1):
+                mults[t] = lam
+                total = walk(t - 1, rem - lam * power, total)
             return total
-        total = 0
-        power = powers[t]
-        for lam in range(rem // power, -1, -1):
-            mults[t] = lam
-            total += walk(t - 1, rem - lam * power)
+        total += count
+        if total > cap:
+            raise EnumerationBudgetExceeded(refusal)
+        if visit is not None:
+            visit(mults, rem)
         return total
 
-    return walk(top, n)
+    return walk(top, n, 0)
 
 
 def walk_partitions(m: int, n: int, cap: int, visit=None) -> int:

@@ -1,5 +1,6 @@
 """The walkers count exactly and abort at exactly their cap."""
 
+import itertools
 import sys
 import time
 
@@ -215,6 +216,47 @@ def test_leaf_walks_visit_every_leaf_in_order(m, n):
     assert kernels.walk_partitions(m, n, b, partition_run) == b
     assert all(sum(lam * m**t for t, lam in enumerate(lams)) == n for lams in mults)
     assert mults == sorted(set(mults), key=lambda lams: lams[::-1], reverse=True)
+
+
+def _run_extent(walk, m: int):
+    """The leaves of a run as ``walk`` hands it to its visitor."""
+    if walk is kernels.nested_sum_b:
+        return lambda ks, count: count
+    return lambda mults, rem: 1 if len(mults) == 1 else rem // m + 1
+
+
+@pytest.mark.parametrize("m, n", PAIR_CASES + [(2, 1), (3, 2), (5, 7)])
+def test_a_visiting_walk_stops_before_the_run_that_passes_its_cap(m, n):
+    # the running count grows by a run's extent and is checked against the
+    # cap before that run is visited: a refused walk has visited exactly the
+    # longest prefix of its runs within the cap, or nothing past its floor
+    cases = {
+        kernels.nested_sum_b: (n // m + 1, LoopBudgetExceeded),
+        kernels.walk_partitions: (n // m + 1, EnumerationBudgetExceeded),
+        kernels.walk_gapfree: ((n - 1) // m + 1, EnumerationBudgetExceeded),
+    }
+    for walk, (floor, error) in cases.items():
+        extent = _run_extent(walk, m)
+        extents = []
+        count = walk(m, n, 10**9, lambda buffer, x: extents.append(extent(buffer, x)))
+        prefixes = list(itertools.accumulate(extents))
+        assert prefixes[-1] == count, walk
+        caps = sorted({p - d for p in prefixes for d in (0, 1)})
+        caps = caps[::-(-len(caps) // 60)] + [floor - 1, floor, count - 1, count]
+        for cap in caps:
+            seen = []
+
+            def visit(buffer, x):
+                seen.append(extent(buffer, x))
+
+            if cap >= count:
+                assert walk(m, n, cap, visit) == count, (walk, cap)
+                assert seen == extents, (walk, cap)
+                continue
+            with pytest.raises(error):
+                walk(m, n, cap, visit)
+            within = 0 if floor > cap else sum(p <= cap for p in prefixes)
+            assert seen == extents[:within], (walk, cap)
 
 
 RUN_CASES = [(m, n) for m in range(2, 7) for n in range(151)] + [(10, 1234), (10**5, 10**10 + 7)]
