@@ -1,5 +1,6 @@
-"""The base of mpart's value types; their ``__init__`` checks its arguments
-and sets fields by ``object.__setattr__``, and ``unchecked`` sets them alone."""
+"""The base of mpart's value types, one setter per class: a type's checked
+``__new__`` validates outside input and hands its fields to the generated
+``unchecked``, which mpart calls directly for the values it derives."""
 
 from operator import attrgetter
 

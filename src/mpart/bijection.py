@@ -35,15 +35,13 @@ class BetaSeq(Frozen):
 
     __slots__ = ("m", "n", "betas")
 
-    def __init__(self, m: int, n: int, betas: tuple[int, ...]) -> None:
+    def __new__(cls, m: int, n: int, betas: tuple[int, ...]) -> BetaSeq:
         j = to_base(m, n).j
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
         if len(betas) != j:
             raise ValueError(f"expected {j} entries for n={n} in base {m}, got {len(betas)}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "betas", betas)
+        return cls.unchecked(m, n, betas)
 
     def msb_first(self) -> tuple[int, ...]:
         """Entries in display order (beta_j, ..., beta_1)."""
@@ -57,9 +55,9 @@ def carry_betas(m: int, alpha, mults) -> tuple[int, ...]:
 
     beta_t = alpha_t - lambda_t + m*beta_{t+1} for t = j..0 from beta_{j+1}
     = 0, lambda_t = 0 past the end of mults.  beta_0 telescopes to n less the
-    partition's weight, so the partition sums to n iff beta_0 = 0 and it has
-    at most j + 1 multiplicities; otherwise this raises ValueError naming the
-    weight.  The empty sequence of n < m is the empty tuple.
+    partition's weight up to m**j, so the partition sums to n iff beta_0 = 0
+    and no multiplicity above m**j is nonzero; otherwise this raises
+    ValueError naming the weight.  The empty sequence of n < m is the empty tuple.
     """
     j = len(alpha) - 1
     k = len(mults)
@@ -68,7 +66,7 @@ def carry_betas(m: int, alpha, mults) -> tuple[int, ...]:
     for t in range(j, -1, -1):
         beta = alpha[t] - (mults[t] if t < k else 0) + m * beta
         betas.append(beta)
-    if beta or k > j + 1:
+    if beta or k > j + 1 and any(mults[j + 1:]):
         raise ValueError(f"partition sums to {_value(m, mults)}, not {_value(m, alpha)}")
     return tuple(betas[-2::-1])
 
@@ -100,7 +98,7 @@ def phi(p: MaryPartition, n: int) -> BetaSeq:
     beta_i = sum_{k=i}^{j} m**(k-i) * (alpha_k - lambda_k), evaluated by
     ``carry_betas``; a partition that does not sum to n raises ValueError.
     """
-    return BetaSeq(p.m, n, carry_betas(p.m, to_base(p.m, n).digits, p.mults))
+    return BetaSeq.unchecked(p.m, n, carry_betas(p.m, to_base(p.m, n).digits, p.mults))
 
 
 def phi_inv(b: BetaSeq) -> MaryPartition:
@@ -109,7 +107,7 @@ def phi_inv(b: BetaSeq) -> MaryPartition:
     lam = carry_mults(b.m, to_base(b.m, b.n).digits, b.betas)
     if lam is None:
         raise ValueError("sequence violates its chained bounds")
-    return MaryPartition(b.m, lam)
+    return MaryPartition.unchecked(b.m, lam)
 
 
 def is_member(b: BetaSeq) -> bool:

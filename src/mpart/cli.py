@@ -222,16 +222,18 @@ def cmd_congruence(args) -> int:
 
 def _compare_routes(suite: str, m: int, ns: range, routes):
     """One batch: every answering route checked against the first one at
-    each n of ``ns`` at base m, each refusal a skip.  A point that one route
-    alone answers is refused."""
+    each n of ``ns`` at base m, each refusal a skip.  A point that poly, the
+    one route with no budget, alone would answer is refused before poly runs."""
+    budgeted = {method: route for method, route in routes.items() if method != "poly"}
     skips, failures = 0, []
     for n in ns:
-        answers, refused = _answers(routes, m, n)
-        if len(answers) < 2:
-            raise BudgetExceeded(f"{suite} at base {m}, n={n}: only {answers[0][0]} answered; "
+        answers, refused = _answers(budgeted, m, n)
+        if not answers:
+            raise BudgetExceeded(f"{suite} at base {m}, n={n}: only poly answered; "
                                  f"raise {ENUM_BUDGET_ENV} or {LOOP_BUDGET_ENV}")
+        answered = dict(answers, poly=routes["poly"](m, n))
+        (_, expected), *others = [(k, answered[k]) for k in routes if k in answered]
         skips += refused
-        (_, expected), *others = answers
         failures += [(m, n, expected, value, {"method": method})
                      for method, value in others if value != expected]
     return len(ns), skips, failures

@@ -28,13 +28,12 @@ from .radix import BaseRepr, chi_vector
 class Residue(Frozen):
     __slots__ = ("value", "modulus")
 
-    def __init__(self, value: int, modulus: int) -> None:
+    def __new__(cls, value: int, modulus: int) -> Residue:
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
         if not 0 <= value < modulus:
             raise ValueError(f"residue {value} not in [0, {modulus})")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
+        return cls.unchecked(value, modulus)
 
 
 def _positive_digits(r: BaseRepr) -> tuple[int, ...]:
@@ -46,7 +45,7 @@ def _positive_digits(r: BaseRepr) -> tuple[int, ...]:
 
 def b_mod_product(r: BaseRepr) -> Residue:
     """b(m, m*n) mod m as the digit product prod_i (alpha_i + 1)."""
-    return Residue(prod(d + 1 for d in r.digits) % r.m, r.m)
+    return Residue.unchecked(prod(d + 1 for d in r.digits) % r.m, r.m)
 
 
 def c_mod_formula(r: BaseRepr) -> Residue:
@@ -59,7 +58,7 @@ def c_mod_formula(r: BaseRepr) -> Residue:
     for i in range(1, len(alpha)):
         term *= alpha[i] - chi[i - 1]
         total += term
-    return Residue((alpha[0] + (alpha[0] - 1) * total) % r.m, r.m)
+    return Residue.unchecked((alpha[0] + (alpha[0] - 1) * total) % r.m, r.m)
 
 
 def afs_c_mod(r: BaseRepr) -> Residue:
@@ -83,7 +82,7 @@ def afs_c_mod(r: BaseRepr) -> Residue:
         value = a + (a - 1) * tail
     else:
         value = 1 - a - (a - 1) * tail
-    return Residue(value % r.m, r.m)
+    return Residue.unchecked(value % r.m, r.m)
 
 
 def churchhouse_check(k: int, n: int) -> tuple[bool, bool]:

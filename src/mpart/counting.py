@@ -113,7 +113,7 @@ def _chain_total(m: int, offsets, strata) -> int:
     depth = max(strata)
     split = (6 * depth + 5) // 10  # round(0.6 * depth)
     total = 1 if 0 in strata else 0
-    s = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
+    s = IntPolynomial.unchecked((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
     for t in range(1, split + 1):
         if t in strata:
             total += s.eval(strata[t])
@@ -132,7 +132,7 @@ def _residue_level(m: int, modulus: int, coeffs: tuple[int, ...], offset: int) -
     """S_{t+1} from the coefficients of S_t and the offset a_t: h_t(k) =
     S_t(a_t + m*k) with its coefficients reduced mod ``modulus`` and the
     vanished top ones dropped, then its prefix sum."""
-    h = IntPolynomial(coeffs).compose_affine(m, offset)
+    h = IntPolynomial.unchecked(coeffs).compose_affine(m, offset)
     return IntPolynomial.from_coeffs([c % modulus for c in h.coeffs]).prefix_sum()
 
 
@@ -168,7 +168,7 @@ def _block_walk(m: int, chains, modulus: int, shift: int, fill: bool):
     percentile from 7.3-8.3 ms to 8.5-12.0).  A one-point block, not
     ``fill``, fills no dicts: filling them took churchhouse at --n 201 --k
     1000 from 6.2 s and 24.7 MiB peak RSS to 8.2 s and 80.4."""
-    unit = IntPolynomial((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
+    unit = IntPolynomial.unchecked((1, 1))  # S_1(x) = x + 1, the prefix sum of h_0 = 1
     depth = -1
     for offsets, strata, low in chains:
         if low > depth:  # only a top-digit carry renews a level past the last depth

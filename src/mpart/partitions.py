@@ -26,7 +26,7 @@ class MaryPartition(Frozen):
 
     __slots__ = ("m", "mults")
 
-    def __init__(self, m: int, mults: tuple[int, ...]) -> None:
+    def __new__(cls, m: int, mults: tuple[int, ...]) -> MaryPartition:
         if m < 2:
             raise ValueError(f"base must be >= 2, got {m}")
         if not mults:
@@ -36,8 +36,7 @@ class MaryPartition(Frozen):
             raise ValueError(f"negative multiplicity {first}")
         if mults[-1] == 0:
             raise ValueError("top multiplicity must be nonzero in canonical form")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mults", mults)
+        return cls.unchecked(m, mults)
 
     @classmethod
     def from_mults(cls, m: int, mults) -> MaryPartition:

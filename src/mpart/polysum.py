@@ -39,12 +39,12 @@ class IntPolynomial(Frozen):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
+    def __new__(cls, coeffs: tuple[int, ...]) -> IntPolynomial:
         if not coeffs:
             raise ValueError("coefficient vector must not be empty")
         if len(coeffs) > 1 and coeffs[-1] == 0:
             raise ValueError("top coefficient must be nonzero in canonical form")
-        object.__setattr__(self, "coeffs", coeffs)
+        return cls.unchecked(coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs) -> IntPolynomial:
@@ -52,7 +52,7 @@ class IntPolynomial(Frozen):
         c = list(coeffs)
         while len(c) > 1 and c[-1] == 0:
             c.pop()
-        return cls(tuple(c) if c else (0,))
+        return cls.unchecked(tuple(c) if c else (0,))
 
     @property
     def degree(self) -> int:

@@ -16,7 +16,7 @@ class BaseRepr(Frozen):
 
     __slots__ = ("m", "digits")
 
-    def __init__(self, m: int, digits: tuple[int, ...]) -> None:
+    def __new__(cls, m: int, digits: tuple[int, ...]) -> BaseRepr:
         if m < 2:
             raise ValueError(f"base must be >= 2, got {m}")
         if not digits:
@@ -26,8 +26,7 @@ class BaseRepr(Frozen):
                 raise ValueError(f"digit {d} out of range [0, {m})")
         if len(digits) > 1 and digits[-1] == 0:
             raise ValueError("most significant digit must be nonzero")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "digits", digits)
+        return cls.unchecked(m, digits)
 
     @property
     def j(self) -> int:

@@ -189,6 +189,9 @@ def test_carry_cores_on_plain_tuples():
     # every exponent up to j may be given, or only up to the largest part
     assert carry_betas(4, alpha, (4, 4, 1)) == (1, 1)
     assert carry_betas(4, alpha, (36, 0, 0)) == carry_betas(4, alpha, (36,)) == (9, 2)
+    # zeros padded above m**j add no weight
+    assert carry_betas(4, alpha, (4, 4, 1, 0)) == (1, 1)
+    assert carry_betas(4, alpha, (36, 0, 0, 0)) == (9, 2)
     assert carry_mults(4, alpha, (9, 2)) == (36,)
     assert carry_mults(4, alpha, (0, 0)) == (0, 1, 2)
     assert carry_mults(4, alpha, (10, 2)) is None

@@ -719,6 +719,14 @@ def test_oracle_c_refuses_there_even_with_a_wrong_poly(capsys, monkeypatch):
     assert run(capsys, *ONE_ROUTE_GRID) == (2, "", ONE_ROUTE_REFUSAL)
 
 
+def test_oracle_c_refuses_before_poly_counts(capsys, monkeypatch):
+    # poly, the one route with no budget, is not asked at a refused point
+    calls = []
+    monkeypatch.setattr(counting, "count_c_poly", lambda m, n: calls.append((m, n)))
+    assert run(capsys, *ONE_ROUTE_GRID) == (2, "", ONE_ROUTE_REFUSAL)
+    assert calls == []
+
+
 def test_oracle_c_refuses_after_failures_and_prints_none_of_them(capsys, monkeypatch):
     # at base 3 the enumeration refuses from n = 121 and nested from n = 123
     monkeypatch.setenv("MPART_ENUM_BUDGET", "500")

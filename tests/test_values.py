@@ -10,9 +10,9 @@ import types
 
 import pytest
 
-from mpart import cli
-from mpart.bijection import BetaSeq, enumerate_members
-from mpart.congruence import Residue
+from mpart import cli, counting
+from mpart.bijection import BetaSeq, enumerate_members, phi, phi_inv
+from mpart.congruence import Residue, afs_c_mod, b_mod_product, c_mod_formula
 from mpart.partitions import MaryPartition, enumerate_b, enumerate_c
 from mpart.polysum import IntPolynomial
 from mpart.radix import BaseRepr, to_base
@@ -99,12 +99,27 @@ def test_objects_built_unchecked_equal_their_checked_construction():
     # the checked constructors raise on a non-canonical form (a zero top
     # multiplicity, a sequence of the wrong length, a digit out of range)
     for m, n in UNCHECKED_GRID:
-        for parts in (enumerate_b(m, n), enumerate_c(m, n)):
-            _same(parts, [MaryPartition(m, p.mults) for p in parts])
-        members = enumerate_members(m, n)
-        _same(members, [BetaSeq(m, n, b.betas) for b in members])
+        parts, members = enumerate_b(m, n), enumerate_members(m, n)
+        for built in (parts, enumerate_c(m, n), [phi_inv(b) for b in members]):
+            _same(built, [MaryPartition(m, p.mults) for p in built])
+        for built in (members, [phi(p, n) for p in parts]):
+            _same(built, [BetaSeq(m, n, b.betas) for b in built])
     ns = {m: range(151) for m in range(2, 8)}
     ns.update({m: range(n - 2, n + 3) for m, n in UNCHECKED_GRID[-2:]})
     for m, block in ns.items():
         for reprs in ([to_base(m, n) for n in block], list(cli._reprs(m, block))):
             _same(reprs, [BaseRepr(m, r.digits) for r in reprs])
+        for predict in (b_mod_product, c_mod_formula, afs_c_mod):  # the c forms need n >= 1
+            residues = [predict(r) for r in cli._reprs(m, block) if r.digits != (0,)]
+            _same(residues, [Residue(x.value, x.modulus) for x in residues])
+    # the level steps of the exact route and of the residue route mod m, which
+    # strips coefficients that vanish, and substitutions at either sign of b
+    polys = [IntPolynomial.from_coeffs(c) for c in ((), (0, 0), (3, -2, 0, 0), (1, -3, 2))]
+    for m in range(2, 8):
+        exact = residue = IntPolynomial((1, 1))
+        for d in to_base(m, 10**6).digits:
+            polys.append(exact := exact.compose_affine(m, d))
+            polys.append(exact := exact.prefix_sum())
+            polys.append(residue := counting._residue_level(m, m, residue.coeffs, d))
+    polys += [p.compose_affine(a, b) for p in polys[:4] for a in (1, 3) for b in (-5, 0, 2)]
+    _same(polys, [IntPolynomial(p.coeffs) for p in polys])
