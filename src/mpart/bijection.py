@@ -14,6 +14,14 @@ The one carry recurrence beta_t = alpha_t - lambda_t + m*beta_{t+1},
 beta_{j+1} = 0, runs on plain tuples: ``carry_betas`` solves it for beta and
 ``carry_mults`` for lambda.  phi, phi_inv and is_member are thin wrappers
 that take and build the value objects.
+
+The run identity.  An innermost run of the multiplicity walk fixes
+lambda_2, ..., lambda_j and goes from lambda_1 = L, lambda_0 < m down to
+lambda_1 = 0, lambda_1 down by one and lambda_0 up by m at each step.  So
+beta_j, ..., beta_2 are fixed along it, and beta_1 = alpha_1 - lambda_1 +
+m*beta_2 goes up by one: beta_1 + lambda_1 is fixed, and the run's L + 1
+images are the carry of its first partition with beta_1 raised by 0..L.
+The CLI's ``table`` and ``verify --suite bijection`` carry once per run by it.
 """
 
 from __future__ import annotations

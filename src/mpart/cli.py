@@ -165,12 +165,12 @@ def cmd_table(args) -> int:
 
     # the walk's vectors carry every exponent up to j, so they are the padded
     # display; phi reverses lex order, so the descending partitions come out
-    # in ascending order of their sequences.  Within an innermost run only
-    # lambda_1 (down by one), lambda_0 (up by m) and beta_1 = alpha_1 -
-    # lambda_1 + m*beta_2 change, so beta_1 + lambda_1 is fixed: the carry
-    # runs once per run, on its first leaf, lambda_0 < m, which also renders
-    # the row format's fixed fields lambda_j..lambda_2 and beta_j..beta_2.
-    # A run's rows are formatted in slices that end where the chunk fills.
+    # in ascending order of their sequences.  By the run identity
+    # (``bijection``'s docstring) beta_1 + lambda_1 is fixed within an
+    # innermost run: the carry runs once per run, on its first leaf, lambda_0
+    # < m, which also renders the row format's fixed fields lambda_j..lambda_2
+    # and beta_j..beta_2.  A run's rows are formatted in slices that end
+    # where the chunk fills.
     def run(mults, rem):
         lam = rem // m
         mults[1], mults[0] = lam, rem - m * lam
@@ -259,8 +259,17 @@ def _verify_oracle_c(args):
 
 
 def _verify_bijection(args):
-    """Materialise both sides as objects, then run the carry recurrence and
-    its inverse on their tuples: phi's image of each partition, and back."""
+    """Materialise both sides as objects, then check phi's image of each
+    partition, and back, one innermost run at a time.
+
+    Descending partitions map to ascending sequences, so the two lists line
+    up element for element.  A run is the L + 1 partitions from one with
+    lambda_1 = L; by the run identity (``bijection``'s docstring) it passes
+    whole when its partitions and members are the walk's progressions from
+    its first pair and the round trip holds on that pair.  A run that
+    differs anywhere runs the carry recurrence and its inverse on each
+    object, so the records and a wrong-weight error are those of a check
+    object by object."""
     carry_betas, carry_mults = bijection.carry_betas, bijection.carry_mults
     for m in args.base_range:
         failures = []
@@ -271,13 +280,29 @@ def _verify_bijection(args):
                 failures.append((m, n, len(members), len(parts), {"method": "cardinality"}))
                 continue
             alpha = to_base(m, n).digits
-            images = [carry_betas(m, alpha, p.mults) for p in parts]
-            # descending partitions map to ascending sequences, so the
-            # generation orders must line up element for element
-            if images != [b.betas for b in members]:
+            same, bad, start = True, 0, 0
+            while start < len(parts):
+                lam = parts[start].mults
+                betas = carry_betas(m, alpha, lam)
+                top = max(lam[1], 0) if len(lam) > 1 else 0
+                stop = start + top + 1
+                run_lams = [p.mults for p in parts[start:stop]]
+                run_betas = [b.betas for b in members[start:stop]]
+                low, above = lam[0], lam[2:]
+                walk = [(low + m * k, top - k) + above for k in range(top + 1)]
+                if not above:  # no part above m: the run ends in (rem,)
+                    walk[-1] = (low + m * top,)
+                rest = betas[1:]
+                images = [betas] + [(betas[0] + k,) + rest for k in range(1, top + 1)]
+                if not (run_lams == walk and run_betas == images
+                        and carry_mults(m, alpha, betas) == lam):
+                    images = [carry_betas(m, alpha, q) for q in run_lams]
+                    same = same and images == run_betas
+                    bad += sum(1 for q, b in zip(run_lams, images)
+                               if carry_mults(m, alpha, b) != q)
+                start = stop
+            if not same:
                 failures.append((m, n, "image == member set", "mismatch", {"method": "image"}))
-            bad = sum(1 for p, betas in zip(parts, images)
-                      if carry_mults(m, alpha, betas) != p.mults)
             if bad:
                 failures.append((m, n, 0, bad, {"method": "round-trip"}))
         yield len(args.n_range), 0, failures

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from mpart import bijection, cli, congruence, counting, kernels
+from mpart import bijection, cli, congruence, counting, kernels, partitions
 from mpart.cli import main
 from mpart.counting import count_b_poly
-from mpart.partitions import count_c_enum
+from mpart.partitions import MaryPartition, count_c_enum
 from mpart.radix import to_base
 from walks import materialise
 
@@ -491,15 +491,23 @@ def _failure_lines(suite, records, cases, *, skipped=0, **extra):
     return "\n".join(lines + [json.dumps(summary)]) + "\n"
 
 
-# the members as enumerated, for the replacements below to call
+# the members and partitions as enumerated, for the replacements below to call
 _enumerate_members = bijection.enumerate_members
+_enumerate_b = partitions.enumerate_b
+
+
+def _last_two_swapped(m, n):
+    """The partitions with the last two swapped: both lie in the last
+    innermost run, whose first partition stays in place from n = 2m on."""
+    parts = _enumerate_b(m, n)
+    return parts[:-2] + parts[-2:][::-1]
 
 
 # (module, attribute, replacement, argv, stdout); every case exits 1.  The
 # pinned lines fix which side each check records as expected and actual, and
 # which record each check writes.  The bijection suite looks the members,
-# the carry recurrence and its inverse up on bijection at call time, so
-# each is replaced there.
+# the carry recurrence and its inverse up on bijection, and the partitions
+# on partitions, at call time, so each is replaced there.
 WRONG_SIDE_CASES = {
     "verify-afs-b": (
         counting, "count_b_residues", _quotient_residues,
@@ -587,6 +595,13 @@ WRONG_SIDE_CASES = {
         _failure_lines("bijection", [(2, n, "image == member set", "mismatch")
                                      for n in (2, 3, 4)], 4, method="image"),
     ),
+    "verify-bijection-run-order": (
+        partitions, "enumerate_b", _last_two_swapped,
+        ["verify", "--suite", "bijection", "--base-range", "2..3", "--n-range", "1..6"],
+        _failure_lines("bijection", [(m, n, "image == member set", "mismatch")
+                                     for m in (2, 3) for n in range(m, 7)], 12,
+                       method="image"),
+    ),
     "verify-bijection-round-trip": (
         bijection, "carry_mults", _all_ones,
         ["verify", "--suite", "bijection", "--base-range", "2..2", "--n-range", "1..4"],
@@ -631,6 +646,23 @@ WRONG_SIDE_CASES = {
         "nested 5\npoly 3\nrecurrence 5\ngf 5\nenumerate 5\n",
     ),
 }
+
+
+def test_bijection_names_a_wrong_weight_inside_an_innermost_run(capsys, monkeypatch):
+    # the first partition strictly inside a run, (2, 1) of n = 4 at base 2,
+    # gets one more part 1: the run's first partition carries cleanly, and
+    # the error names the inner one as a check object by object does
+    def extra_one(m, n):
+        parts = _enumerate_b(m, n)
+        for i, p in enumerate(parts):
+            if len(p.mults) > 1 and p.mults[1] and p.mults[0] >= m:
+                parts[i] = MaryPartition(m, (p.mults[0] + 1,) + p.mults[1:])
+                break
+        return parts
+
+    monkeypatch.setattr(partitions, "enumerate_b", extra_one)
+    assert run(capsys, "verify", "--suite", "bijection", "--base-range", "2..4",
+               "--n-range", "1..30") == (2, "", "error: partition sums to 5, not 4\n")
 
 
 def test_table_prints_the_carry_recurrence_images(capsys, monkeypatch):
