@@ -90,8 +90,7 @@ UNCHECKED_GRID = [(m, n) for m in range(2, 8) for n in range(1, 151)] + [
 # m - 1 below it, n = m with its one run of two, and n = 150, the base's most
 # digits, whose partitions have every tail length above lambda_1 and every
 # stripped top; and both long-run points
-PHI_GRID = sorted({(m, n) for m in range(2, 8) for n in (1, m - 1, m, 150)}) + [
-    (10, 1234), (10**5, 10**10 + 7)]
+PHI_GRID = {(m, n) for m in range(2, 8) for n in (1, m - 1, m, 150)} | set(UNCHECKED_GRID[-2:])
 
 
 def _same(built, checked):
