@@ -41,7 +41,8 @@ class BetaSeq(Frozen):
     is_member, not at construction.
     """
 
-    __slots__ = ("m", "n", "betas")
+    _fields = ("m", "n", "betas")
+    __slots__ = ()
 
     def __new__(cls, m: int, n: int, betas: tuple[int, ...]) -> BetaSeq:
         j = to_base(m, n).j

@@ -26,7 +26,8 @@ from .radix import BaseRepr, chi_vector
 
 
 class Residue(Frozen):
-    __slots__ = ("value", "modulus")
+    _fields = ("value", "modulus")
+    __slots__ = ()
 
     def __new__(cls, value: int, modulus: int) -> Residue:
         if modulus < 2:

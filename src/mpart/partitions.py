@@ -24,7 +24,8 @@ class MaryPartition(Frozen):
     first); canonical form has a nonzero top entry.
     """
 
-    __slots__ = ("m", "mults")
+    _fields = ("m", "mults")
+    __slots__ = ()
 
     def __new__(cls, m: int, mults: tuple[int, ...]) -> MaryPartition:
         if m < 2:

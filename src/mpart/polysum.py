@@ -37,7 +37,8 @@ class IntPolynomial(Frozen):
     """coeffs[i] multiplies C(x, i); canonical form has no trailing zero
     coefficient (the zero polynomial is the single coefficient (0,))."""
 
-    __slots__ = ("coeffs",)
+    _fields = ("coeffs",)
+    __slots__ = ()
 
     def __new__(cls, coeffs: tuple[int, ...]) -> IntPolynomial:
         if not coeffs:

@@ -14,7 +14,8 @@ class BaseRepr(Frozen):
     except that 0 is represented by the single digit ``(0,)``.
     """
 
-    __slots__ = ("m", "digits")
+    _fields = ("m", "digits")
+    __slots__ = ()
 
     def __new__(cls, m: int, digits: tuple[int, ...]) -> BaseRepr:
         if m < 2:

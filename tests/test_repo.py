@@ -1,7 +1,8 @@
 """The repository tracks no file that its own .gitignore excludes, every
-function the benchmark's tracer wraps still exists, and README installs the
-package as CI does."""
+function the benchmark's tracer wraps still exists, README installs the
+package as CI does, and the package runs no generated code."""
 
+import ast
 import importlib.util
 import re
 import subprocess
@@ -58,3 +59,14 @@ def test_readme_installs_as_ci_does():
     ci = _pip_installs((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
     assert len(ci) == 1
     assert readme == ci
+
+
+def test_no_module_runs_generated_code():
+    # a bare name only: a method such as IntPolynomial.eval is an attribute
+    calls = []
+    for path in sorted((ROOT / "src" / "mpart").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("exec", "eval", "compile")):
+                calls.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert calls == []
