@@ -22,6 +22,12 @@ beta_j, ..., beta_2 are fixed along it, and beta_1 = alpha_1 - lambda_1 +
 m*beta_2 goes up by one: beta_1 + lambda_1 is fixed, and the run's L + 1
 images are the carry of its first partition with beta_1 raised by 0..L.
 The CLI's ``table`` and ``verify --suite bijection`` carry once per run by it.
+
+The two walks hand out the same runs.  A run's first partition has lambda_0
+= rem mod m < m, so beta_0 = alpha_0 - lambda_0 + m*beta_1 = 0 forces
+beta_1 = 0 there, and its images are (k, beta_2, ..., beta_j) for k =
+0..L: one run of ``kernels.nested_sum_b``, k_1 over range(L + 1) with the
+same k_2, ..., k_j, and the runs come in the same order.
 """
 
 from __future__ import annotations

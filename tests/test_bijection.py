@@ -18,6 +18,7 @@ from mpart.budgets import EnumerationBudgetExceeded
 from mpart.counting import recurrence_table
 from mpart.partitions import MaryPartition, enumerate_b, weight
 from mpart.radix import to_base
+from test_values import UNCHECKED_GRID
 from walks import materialise
 
 # the full correspondence for base 4, n = 36 (multiplicities and sequences
@@ -182,6 +183,31 @@ def test_wrappers_agree_with_the_carry_cores():
             # the walk keeps every exponent up to j; stripped, it is parts
             assert materialise(kernels.walk_partitions, m, n, tuple) == [
                 p.mults + (0,) * (len(alpha) - len(p.mults)) for p in parts]
+
+
+def test_the_two_walks_hand_out_the_same_innermost_runs():
+    # a run of walk_partitions starts at lambda_0 = rem mod m < m, so beta_0 =
+    # 0 forces beta_1 = 0 there, and its L + 1 images are (k, beta_2, ...,
+    # beta_j) for k = 0..L: one run of nested_sum_b, in the same order
+    for m, n in UNCHECKED_GRID:
+        alpha = to_base(m, n).digits
+        partition_runs, sum_runs = [], []
+
+        def partition_run(mults, rem):
+            if len(mults) > 1:
+                mults[1], mults[0] = divmod(rem, m)
+            else:
+                mults[0] = rem
+            betas = carry_betas(m, alpha, mults)
+            assert betas[:1] in ((), (0,))  # empty only for n < m
+            partition_runs.append((betas[1:], rem // m + 1 if len(mults) > 1 else 1))
+
+        def sum_run(ks, count):
+            sum_runs.append((tuple(ks[1:len(alpha) - 1]), count))
+
+        kernels.walk_partitions(m, n, 10**9, partition_run)
+        kernels.nested_sum_b(m, n, 10**9, sum_run)
+        assert partition_runs == sum_runs
 
 
 def test_carry_cores_on_plain_tuples():
