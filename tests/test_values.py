@@ -69,7 +69,7 @@ def test_keyword_and_positional_construction_agree(cls):
     fields, _ = VALUES[cls]
     x = cls(**fields)
     assert x == cls(*fields.values())
-    unchecked = cls.unchecked(*fields.values())  # fields in __slots__ order
+    unchecked = cls.unchecked(*fields.values())  # fields in _fields order
     assert type(unchecked) is cls and unchecked == x
     assert tuple(getattr(x, name) for name in fields) == tuple(fields.values())
 
@@ -86,10 +86,10 @@ def test_pickle_and_copy_round_trip(cls):
 # long innermost runs: the last one's 100,002 partitions are 2 runs
 UNCHECKED_GRID = [(m, n) for m in range(2, 8) for n in range(1, 151)] + [
     (10, 1234), (10**5, 10**10 + 7)]
-# phi and phi_inv on a subgrid with every run shape: per base, n = 1 and
-# m - 1 below it, n = m with its one run of two, and n = 150, the base's most
-# digits, whose partitions have every tail length above lambda_1 and every
-# stripped top; and both long-run points
+# the enumerations, phi and phi_inv on a subgrid with every run shape: per
+# base, n = 1 and m - 1 below it, n = m with its one run of two, and n = 150,
+# the base's most digits, whose partitions have every tail length above
+# lambda_1 and every stripped top; and both long-run points
 PHI_GRID = {(m, n) for m in range(2, 8) for n in (1, m - 1, m, 150)} | set(UNCHECKED_GRID[-2:])
 
 
@@ -103,12 +103,10 @@ def _same(built, checked):
 def test_objects_built_unchecked_equal_their_checked_construction():
     # the checked constructors raise on a non-canonical form (a zero top
     # multiplicity, a sequence of the wrong length, a digit out of range)
-    for m, n in UNCHECKED_GRID:
+    for m, n in sorted(PHI_GRID):
         parts, members = enumerate_b(m, n), enumerate_members(m, n)
-        built_parts, built_members = [parts, enumerate_c(m, n)], [members]
-        if (m, n) in PHI_GRID:
-            built_parts.append([phi_inv(b) for b in members])
-            built_members.append([phi(p, n) for p in parts])
+        built_parts = [parts, enumerate_c(m, n), [phi_inv(b) for b in members]]
+        built_members = [members, [phi(p, n) for p in parts]]
         for built in built_parts:
             _same(built, [MaryPartition(m, p.mults) for p in built])
         for built in built_members:
