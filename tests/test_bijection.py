@@ -186,9 +186,8 @@ def test_wrappers_agree_with_the_carry_cores():
 
 
 def test_the_two_walks_hand_out_the_same_innermost_runs():
-    # a run of walk_partitions starts at lambda_0 = rem mod m < m, so beta_0 =
-    # 0 forces beta_1 = 0 there, and its L + 1 images are (k, beta_2, ...,
-    # beta_j) for k = 0..L: one run of nested_sum_b, in the same order
+    # the correspondence in bijection's module docstring: beta_1 = 0 at a run's
+    # first partition, whose (beta_2..beta_j, L + 1) is (k_2..k_j, count)
     for m, n in UNCHECKED_GRID:
         alpha = to_base(m, n).digits
         partition_runs, sum_runs = [], []
@@ -199,8 +198,8 @@ def test_the_two_walks_hand_out_the_same_innermost_runs():
             else:
                 mults[0] = rem
             betas = carry_betas(m, alpha, mults)
-            assert betas[:1] in ((), (0,))  # empty only for n < m
-            partition_runs.append((betas[1:], rem // m + 1 if len(mults) > 1 else 1))
+            assert betas[:1] in ((), (0,))  # empty only for n < m, where rem < m
+            partition_runs.append((betas[1:], rem // m + 1))
 
         def sum_run(ks, count):
             sum_runs.append((tuple(ks[1:len(alpha) - 1]), count))
